@@ -14,10 +14,9 @@ ride inside outcome messages: they travel by content digest
 coordinator's content-addressed :class:`~repro.campaign.runtime.spool.
 DumpSpool`, which becomes the campaign's shared artifact store.
 
-**Wire protocol.**  One JSON object per line, UTF-8, over a plain TCP
-socket.  Requests carry ``{"op": ...}``; responses carry
-``{"ok": true, ...}`` or ``{"ok": false, "code": ..., "error": ...}``.
-Ops::
+**Wire protocol.**  The newline-JSON wire of :mod:`repro.wire` over a
+plain TCP socket — its framing, refusal envelope and digest-verified
+dump fields.  Ops::
 
     hello           -> spec + offline prep + defense profile + lease TTL
     claim           -> a board lease (or "nothing pending" / "done")
@@ -73,9 +72,6 @@ byte-identity contract under network chaos.
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
 import os
 import socket
 import socketserver
@@ -85,6 +81,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro import wire
 from repro.attack.config import AttackConfig
 from repro.attack.identify import SignatureDatabase
 from repro.attack.profiling import ProfileStore
@@ -110,6 +107,7 @@ from repro.errors import (
     FabricError,
     FabricProtocolError,
     FabricTimeoutError,
+    ProtocolError,
     RetryExhaustedError,
     StaleLeaseError,
 )
@@ -286,46 +284,33 @@ class _FabricServer(socketserver.ThreadingTCPServer):
 class _FabricHandler(socketserver.StreamRequestHandler):
     """One connected peer: read a request line, write a response line.
 
-    An unparseable line (a torn stream, a peer speaking some other
-    protocol) gets one ``bad-request`` response and the connection is
-    dropped — resynchronizing inside a corrupt byte stream is not
-    worth guessing at.  Coordinator state is untouched either way.
+    A torn, unparseable or over-long line gets one ``bad-request``
+    refusal and the connection is dropped (see :mod:`repro.wire`);
+    coordinator state is untouched either way.
     """
 
     def handle(self) -> None:
         while True:
             try:
-                line = self.rfile.readline()
+                request = wire.read_request(self.rfile)
+            except ProtocolError as exc:
+                self._reply(wire.refusal(exc))
+                return
             except OSError:
                 return
-            if not line:
+            if request is None:
                 return  # peer closed the stream
-            if not line.strip():
-                continue
-            try:
-                request = json.loads(line)
-                if not isinstance(request, dict):
-                    raise ValueError("request must be a JSON object")
-            except (ValueError, UnicodeDecodeError):
-                self._reply(
-                    {
-                        "ok": False,
-                        "code": "bad-request",
-                        "error": "unparseable request line",
-                    }
-                )
-                return
             response = self.server.coordinator.handle_request(request)
-            try:
-                self._reply(response)
-            except OSError:
+            if not self._reply(response):
                 return  # peer died mid-reply; its lease will expire
 
-    def _reply(self, payload: dict) -> None:
-        self.wfile.write(
-            json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        )
-        self.wfile.flush()
+    def _reply(self, payload: dict) -> bool:
+        try:
+            self.wfile.write(wire.encode(payload))
+            self.wfile.flush()
+        except OSError:
+            return False
+        return True
 
 
 class FabricCoordinator:
@@ -550,35 +535,8 @@ class FabricCoordinator:
     # -- request dispatch ----------------------------------------------------
 
     def handle_request(self, request: dict) -> dict:
-        """Serve one protocol request; never raises to the transport."""
-        op = str(request.get("op", ""))
-        handler = self._OPS.get(op)
-        if handler is None:
-            return {
-                "ok": False,
-                "code": "unknown-op",
-                "error": f"unknown op {op!r}",
-            }
-        try:
-            response = handler(self, request)
-        except StaleLeaseError as exc:
-            return {"ok": False, "code": "stale-lease", "error": str(exc)}
-        except DumpTransferError as exc:
-            return {
-                "ok": False,
-                "code": "digest-mismatch",
-                "error": str(exc),
-            }
-        except FileNotFoundError as exc:
-            return {"ok": False, "code": "unknown-digest", "error": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
-            return {
-                "ok": False,
-                "code": "bad-request",
-                "error": f"malformed {op!r} request: {exc!r}",
-            }
-        response["ok"] = True
-        return response
+        """Serve one protocol request; typed errors become refusals."""
+        return wire.dispatch(self._OPS, self, request)
 
     def _op_hello(self, request: dict) -> dict:
         worker = str(request.get("worker", ""))
@@ -675,14 +633,7 @@ class FabricCoordinator:
             return {"board": board, "done": done}
 
     def _op_put_dump(self, request: dict) -> dict:
-        claimed = str(request["sha256"])
-        data = base64.b64decode(request["data"])
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != claimed:
-            raise DumpTransferError(
-                f"uploaded payload hashes to {digest[:12]}… but claims "
-                f"to be {claimed[:12]}…"
-            )
+        data = wire.decode_dump(request["data"], str(request["sha256"]))
         entry = self._spool.put_bytes(data)
         with self._lock:
             self._dumps_received += 1
@@ -699,7 +650,7 @@ class FabricCoordinator:
         # and unmapped — the explicit close keeps the coordinator's fd
         # table flat no matter how many fetches a campaign serves.
         with self._spool.open(digest) as mapped:
-            payload = base64.b64encode(bytes(mapped.data)).decode("ascii")
+            payload = wire.encode_dump(mapped.data)
             nbytes = mapped.nbytes
         return {"data": payload, "nbytes": nbytes}
 
@@ -777,12 +728,11 @@ class FabricCoordinator:
 
 
 class _DumpWireOps:
-    """Digest-verified dump transfer, shared by both client flavours.
+    """Dump upload and download, shared by both client flavours.
 
-    Anything with a ``request(op, **fields)`` method gets uploads and
-    downloads with content verification on the untrusted-transport
-    side; :class:`ResilientFabricClient` inherits these unchanged, so
-    a dump fetched across a reconnect is still re-hashed on arrival.
+    Anything with a ``request(op, **fields)`` method gets them;
+    :class:`ResilientFabricClient` inherits these unchanged, so a dump
+    fetched across a reconnect is still re-hashed on arrival.
     """
 
     def request(self, op: str, **fields) -> dict:
@@ -790,12 +740,7 @@ class _DumpWireOps:
 
     def put_dump(self, data: bytes) -> dict:
         """Upload raw dump bytes under their own digest."""
-        digest = hashlib.sha256(data).hexdigest()
-        return self.request(
-            "put_dump",
-            sha256=digest,
-            data=base64.b64encode(data).decode("ascii"),
-        )
+        return self.request("put_dump", **wire.dump_fields(data, "data"))
 
     def fetch_dump(self, sha256: str) -> bytes:
         """Download an object by digest, verifying it client-side.
@@ -805,14 +750,7 @@ class _DumpWireOps:
         :class:`DumpTransferError` instead of returning corrupt bytes.
         """
         response = self.request("fetch_dump", sha256=sha256)
-        data = base64.b64decode(response["data"])
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != sha256:
-            raise DumpTransferError(
-                f"fetched payload hashes to {digest[:12]}… but "
-                f"{sha256[:12]}… was requested"
-            )
-        return data
+        return wire.decode_dump(response["data"], sha256)
 
 
 class FabricClient(_DumpWireOps):
@@ -850,8 +788,7 @@ class FabricClient(_DumpWireOps):
 
     def request(self, op: str, **fields) -> dict:
         """Send one op and return its decoded ``ok`` response."""
-        payload = {"op": op, **fields}
-        line = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+        line = wire.encode({"op": op, **fields})
         with self._lock:
             if self._closed:
                 raise FabricProtocolError(
@@ -876,8 +813,8 @@ class FabricClient(_DumpWireOps):
                 f"response to {op!r} cut off mid-frame"
             )
         try:
-            response = json.loads(answer)
-        except ValueError as exc:
+            response = wire.decode(answer)
+        except ProtocolError as exc:
             raise FabricProtocolError(
                 f"unparseable response to {op!r}"
             ) from exc

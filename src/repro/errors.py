@@ -142,6 +142,12 @@ class SpoolClosedError(ReproError):
     """
 
 
+class ProtocolError(ReproError):
+    """A frame on the newline-JSON wire (:mod:`repro.wire`) that cannot
+    be understood — torn, not a JSON object, over-long, an unknown op,
+    or a stream closed before the answer.  Both stacks share it."""
+
+
 class FabricError(ReproError):
     """Base class for distributed-campaign-fabric failures.
 
@@ -155,7 +161,7 @@ class FabricError(ReproError):
     """
 
 
-class FabricProtocolError(FabricError):
+class FabricProtocolError(FabricError, ProtocolError):
     """A malformed or unanswerable fabric message (torn stream, bad
     JSON, unknown op, missing field, or a connection that died
     mid-exchange)."""
@@ -183,22 +189,6 @@ class FabricTimeoutError(FabricError):
     resumable via :meth:`FabricCoordinator.resume
     <repro.campaign.runtime.fabric.FabricCoordinator.resume>`.
     """
-
-
-class CircuitOpenError(ReproError):
-    """A :class:`~repro.utils.resilience.CircuitBreaker` is open.
-
-    The protected operation has failed enough times in a row that the
-    breaker refuses to even attempt it until the reset window passes;
-    callers should back off rather than hammer a peer that is down.
-    """
-
-    def __init__(self, name: str, retry_after: float) -> None:
-        self.name = name
-        self.retry_after = retry_after
-        super().__init__(
-            f"circuit {name!r} is open; retry in {retry_after:.3f}s"
-        )
 
 
 class RetryExhaustedError(ReproError):
@@ -241,10 +231,11 @@ class StaleLeaseError(FabricError):
 class DumpTransferError(FabricError):
     """A dump shipped over the wire failed content verification.
 
-    Spool objects travel by digest; both ends re-hash the payload and
-    refuse bytes that do not hash to the digest they claim, so a
-    corrupted or tampered transfer can never be filed under a name it
-    does not match.
+    Spool objects travel by digest; the receiving end re-hashes the
+    payload (:func:`repro.wire.decode_dump`, in the fabric and the
+    analysis daemon alike) and refuses bytes that do not hash to the
+    digest they claim, so a corrupted or tampered transfer can never be
+    filed under a name it does not match.
     """
 
 
@@ -253,10 +244,10 @@ class ServiceError(ReproError):
 
     The serving layer (:mod:`repro.service`) accepts dump uploads and
     analysis jobs from external clients over a newline-JSON protocol.
-    Everything that can go wrong between a client and the daemon —
-    admission refusals, unknown references, protocol violations —
-    derives from this class so service loops can catch one base while
-    the analysis itself keeps the :class:`AttackError` taxonomy.
+    Admission refusals and unknown references derive from this class
+    so service loops can catch one base while the analysis itself
+    keeps the :class:`AttackError` taxonomy; malformed frames raise the
+    neutral :class:`ProtocolError` both wire stacks share.
     """
 
 
@@ -302,6 +293,14 @@ class UnknownJobError(ServiceError):
     def __init__(self, job_id: int) -> None:
         self.job_id = job_id
         super().__init__(f"unknown job id {job_id}")
+
+
+class UnknownDatabaseError(ServiceError):
+    """A ``submit`` request named a signature database never loaded."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        super().__init__(f"no signature database named {name!r}")
 
 
 class ServiceDrainingError(ServiceError):

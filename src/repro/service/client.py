@@ -4,8 +4,10 @@ Deliberately thin: :meth:`AsyncServiceClient.request` returns the
 server's response dict *verbatim* — quota and backpressure refusals
 come back as ``{"ok": False, "code": ..., "retry_after": ...}``
 answers for the caller to pace on, not as exceptions.  Only transport
-failures (dead socket, torn frame, non-JSON bytes) raise, because
-those mean the answer is unknowable, not "no".
+failures (dead socket, torn frame, non-JSON bytes) raise
+:class:`~repro.errors.ProtocolError`, because those mean the answer is
+unknowable, not "no".  Framing and dump fields come from
+:mod:`repro.wire`.
 
 One client is one connection.  :meth:`subscribe` dedicates the
 connection to the delta stream — open a second client for control
@@ -15,12 +17,10 @@ traffic while a subscription is live.
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
-import json
 from typing import AsyncIterator
 
-from repro.errors import FabricProtocolError
+from repro import wire
+from repro.errors import ProtocolError
 
 
 class AsyncServiceClient:
@@ -45,38 +45,19 @@ class AsyncServiceClient:
 
     async def request(self, op: str, **fields) -> dict:
         """Send one op, await one response dict (refusals included)."""
-        payload = {"op": op, **fields}
-        self._writer.write(
-            json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        )
+        self._writer.write(wire.encode({"op": op, **fields}))
         await self._writer.drain()
-        return await self._read_response(op)
-
-    async def _read_response(self, op: str) -> dict:
         line = await self._reader.readline()
         if not line:
-            raise FabricProtocolError(
+            raise ProtocolError(
                 f"connection closed before a response to {op!r}"
             )
-        try:
-            response = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FabricProtocolError(
-                f"undecodable response to {op!r}"
-            ) from exc
-        if not isinstance(response, dict):
-            raise FabricProtocolError(
-                f"response to {op!r} is not a JSON object"
-            )
-        return response
+        return wire.decode(line)
 
     async def put_dump(self, tenant: str, data: bytes) -> dict:
         """Upload raw dump bytes, self-attesting the sha256."""
         return await self.request(
-            "put_dump",
-            tenant=tenant,
-            sha256=hashlib.sha256(data).hexdigest(),
-            data_b64=base64.b64encode(data).decode("ascii"),
+            "put_dump", tenant=tenant, **wire.dump_fields(data, "data_b64")
         )
 
     async def subscribe(self) -> AsyncIterator[dict]:
@@ -89,14 +70,14 @@ class AsyncServiceClient:
         """
         response = await self.request("subscribe")
         if not response.get("ok"):
-            raise FabricProtocolError(
+            raise ProtocolError(
                 f"subscription refused: {response.get('error')}"
             )
         while True:
             line = await self._reader.readline()
             if not line:
                 return
-            event = json.loads(line)
+            event = wire.decode(line)
             yield event
             if event.get("event") == "drained":
                 return

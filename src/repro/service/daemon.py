@@ -15,12 +15,12 @@ One :class:`AnalysisService` owns four things:
   :class:`~repro.service.quotas.TenantLedger` buckets in front of the
   pool's bounded queue.
 
-Wire protocol (documented for clients in ``docs/service.md``): one
-JSON object per line, UTF-8, ``\\n``-terminated, same framing as the
-campaign fabric.  Every request carries ``op``; every response carries
-``ok``.  Refusals are *answers*, not errors: ``quota`` and
-``backpressure`` responses carry ``retry_after`` seconds so a client
-can pace itself instead of guessing.
+Wire protocol (documented for clients in ``docs/service.md``): the
+newline-JSON wire of :mod:`repro.wire`, shared with the campaign
+fabric.  Every request carries ``op``; every response carries ``ok``.
+Refusals are *answers*, not errors: ``quota`` and ``backpressure``
+responses carry ``retry_after`` seconds so a client can pace itself
+instead of guessing.
 
 Threading model: handlers run on the event loop; analysis runs on the
 pool's worker threads; completions re-enter the loop via
@@ -39,20 +39,18 @@ only stops taking more.
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro import wire
 from repro.campaign.runtime.executors import AnalysisPool
 from repro.campaign.runtime.spool import DumpSpool
 from repro.errors import (
     BackpressureError,
-    QuotaExceededError,
+    ProtocolError,
     ServiceDrainingError,
+    UnknownDatabaseError,
     UnknownJobError,
 )
 from repro.service.analysis import (
@@ -64,10 +62,6 @@ from repro.service.analysis import (
     mine_database,
 )
 from repro.service.quotas import TenantLedger, TenantQuotaConfig
-
-MAX_LINE_BYTES = 64 * 1024 * 1024
-"""Upper bound on one request line — caps a hostile upload at decode
-time rather than buffering an unbounded stream."""
 
 _DEFAULT_BACKPRESSURE_HINT = 0.05
 """Advisory retry-after (seconds) when the analysis queue is full."""
@@ -147,7 +141,7 @@ class AnalysisService:
             self._handle_connection,
             self._host,
             self._port,
-            limit=MAX_LINE_BYTES,
+            limit=wire.MAX_LINE_BYTES,
         )
         sockname = self._server.sockets[0].getsockname()
         return str(sockname[0]), int(sockname[1])
@@ -201,99 +195,38 @@ class AnalysisService:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                    ConnectionError,
-                ):
+                    request = await wire.read_request_async(reader)
+                except ProtocolError as exc:
+                    await self._send(writer, wire.refusal(exc))
                     break
-                if not line:
+                if request is None:
                     break
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be a JSON object")
-                except (json.JSONDecodeError, UnicodeDecodeError, ValueError):
-                    await self._send(
-                        writer,
-                        {
-                            "ok": False,
-                            "code": "bad-request",
-                            "error": "request is not a JSON object",
-                        },
-                    )
-                    break
-                op = request.get("op")
-                if op == "subscribe":
-                    await self._serve_subscription(writer, request)
+                if request.get("op") == "subscribe":
+                    await self._serve_subscription(writer)
                     return
-                handler = self._OPS.get(op)
-                if handler is None:
-                    response = {
-                        "ok": False,
-                        "code": "bad-request",
-                        "error": f"unknown op {op!r}",
-                    }
-                else:
-                    try:
-                        response = handler(self, request)
-                    except KeyError as exc:
-                        response = {
-                            "ok": False,
-                            "code": "bad-request",
-                            "error": f"missing field {exc.args[0]!r}",
-                        }
-                    except QuotaExceededError as exc:
-                        response = {
-                            "ok": False,
-                            "code": "quota",
-                            "error": str(exc),
-                            "retry_after": exc.retry_after,
-                        }
-                    except BackpressureError as exc:
-                        response = {
-                            "ok": False,
-                            "code": "backpressure",
-                            "error": str(exc),
-                            "retry_after": exc.retry_after,
-                        }
-                    except UnknownJobError as exc:
-                        response = {
-                            "ok": False,
-                            "code": "unknown-job",
-                            "error": str(exc),
-                        }
-                    except ServiceDrainingError as exc:
-                        response = {
-                            "ok": False,
-                            "code": "draining",
-                            "error": str(exc),
-                        }
-                await self._send(writer, response)
+                await self._send(
+                    writer, wire.dispatch(self._OPS, self, request)
+                )
+        except ConnectionError:
+            pass  # the peer vanished mid-exchange
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            except asyncio.CancelledError:
-                # close() tears the server down mid-wait; the socket is
-                # already gone, so finish quietly instead of letting
-                # asyncio log a never-retrieved CancelledError.
+            except (OSError, asyncio.CancelledError):
+                # Cancelled: close() tore the server down mid-wait and
+                # the socket is already gone, so finish quietly instead
+                # of letting asyncio log a never-retrieved error.
                 pass
 
     async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(
-            json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        )
+        writer.write(wire.encode(payload))
         await writer.drain()
 
     # -- ops -----------------------------------------------------------------
 
     def _op_hello(self, request: dict) -> dict:
         return {
-            "ok": True,
             "server": "repro-analysis",
             "databases": sorted(self._databases),
             "carve_presets": sorted(CARVE_PRESETS),
@@ -304,29 +237,10 @@ class AnalysisService:
         tenant = str(request["tenant"])
         if self._draining:
             raise ServiceDrainingError("daemon is draining; upload refused")
-        try:
-            data = base64.b64decode(request["data_b64"], validate=True)
-        except (binascii.Error, TypeError, ValueError):
-            return {
-                "ok": False,
-                "code": "bad-request",
-                "error": "data_b64 is not valid base64",
-            }
-        claimed = request.get("sha256")
-        digest = hashlib.sha256(data).hexdigest()
-        if claimed is not None and claimed != digest:
-            return {
-                "ok": False,
-                "code": "digest-mismatch",
-                "error": (
-                    f"payload hashes to {digest}, not the claimed "
-                    f"{claimed}"
-                ),
-            }
+        data = wire.decode_dump(request["data_b64"], request.get("sha256"))
         self._ledger.admit_upload(tenant, len(data))
         entry = self._spool.put_bytes(data)
         return {
-            "ok": True,
             "sha256": entry.sha256,
             "nbytes": entry.nbytes,
             "deduplicated": entry.deduplicated,
@@ -340,27 +254,15 @@ class AnalysisService:
                 "daemon is draining; no new jobs admitted"
             )
         if digest not in self._spool:
-            return {
-                "ok": False,
-                "code": "unknown-digest",
-                "error": f"no uploaded dump with sha256 {digest}",
-            }
+            raise FileNotFoundError(f"no uploaded dump with sha256 {digest}")
         database_name = str(request.get("database", "default"))
         database = self._databases.get(database_name)
         if database is None:
-            return {
-                "ok": False,
-                "code": "unknown-database",
-                "error": f"no signature database named {database_name!r}",
-            }
+            raise UnknownDatabaseError(database_name)
         carve_name = str(request.get("carve", "default"))
         carve = CARVE_PRESETS.get(carve_name)
         if carve is None:
-            return {
-                "ok": False,
-                "code": "bad-request",
-                "error": f"no carve preset named {carve_name!r}",
-            }
+            raise ValueError(f"no carve preset named {carve_name!r}")
         self._ledger.admit_job(tenant)
         job = _Job(job_id=self._next_job_id, tenant=tenant, sha256=digest)
         config = AnalysisConfig(
@@ -383,7 +285,7 @@ class AnalysisService:
             raise BackpressureError(_DEFAULT_BACKPRESSURE_HINT)
         self._next_job_id += 1
         self._jobs[job.job_id] = job
-        return {"ok": True, "job_id": job.job_id}
+        return {"job_id": job.job_id}
 
     def _op_status(self, request: dict) -> dict:
         job_id = int(request["job_id"])
@@ -391,7 +293,6 @@ class AnalysisService:
         if job is None:
             raise UnknownJobError(job_id)
         response = {
-            "ok": True,
             "job_id": job.job_id,
             "state": job.state,
             "sha256": job.sha256,
@@ -407,7 +308,6 @@ class AnalysisService:
             1 for job in self._jobs.values() if job.state != "queued"
         )
         return {
-            "ok": True,
             "stats": {
                 "queue": self._pool.stats(),
                 "tenants": self._ledger.counters(),
@@ -459,9 +359,7 @@ class AnalysisService:
         for subscriber in self._subscribers:
             subscriber.queue.put_nowait(event)
 
-    async def _serve_subscription(
-        self, writer: asyncio.StreamWriter, request: dict
-    ) -> None:
+    async def _serve_subscription(self, writer: asyncio.StreamWriter) -> None:
         """Dedicate this connection to the delta stream.
 
         The snapshot of already-published deltas and the registration
@@ -478,33 +376,14 @@ class AnalysisService:
             )
             for event in backlog:
                 await self._send(writer, event)
-            if already_drained:
-                await self._send(
-                    writer, {"event": "drained", "jobs": len(self._jobs)}
-                )
-                return
-            while True:
-                event = await subscriber.queue.get()
-                if event is None:
-                    await self._send(
-                        writer, {"event": "drained", "jobs": len(self._jobs)}
-                    )
-                    return
-                await self._send(writer, event)
-        except (ConnectionError, OSError):
-            pass
+            if not already_drained:
+                while (event := await subscriber.queue.get()) is not None:
+                    await self._send(writer, event)
+            await self._send(
+                writer, {"event": "drained", "jobs": len(self._jobs)}
+            )
         finally:
             self._subscribers.discard(subscriber)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            except asyncio.CancelledError:
-                # close() tears the server down mid-wait; the socket is
-                # already gone, so finish quietly instead of letting
-                # asyncio log a never-retrieved CancelledError.
-                pass
 
 
 async def serve_forever(

@@ -1,4 +1,4 @@
-"""Retry, backoff, and circuit-breaking — the self-healing toolkit.
+"""Retry and backoff — the self-healing toolkit.
 
 Distributed campaigns fail in boring, recoverable ways: a connection
 resets, a coordinator restarts, a link stalls past its timeout.  This
@@ -14,7 +14,7 @@ fabric routes through, built on three deliberate choices:
   and a ``(seconds) -> None`` sleep.  Production uses
   ``time.monotonic`` / ``time.sleep``; tests use :class:`ManualClock`,
   whose :meth:`ManualClock.sleep` *advances* the clock instead of
-  waiting, so retry/deadline/breaker behaviour is drilled exactly and
+  waiting, so retry and deadline behaviour is drilled exactly and
   instantly.
 - **Bounded budgets.**  Retries are capped twice — by attempt count
   and by an optional wall-clock deadline budget — so a worker facing a
@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from repro.errors import CircuitOpenError, RetryExhaustedError
+from repro.errors import RetryExhaustedError
 
 T = TypeVar("T")
 
@@ -61,9 +61,9 @@ class ManualClock:
 
     Anything in this package that takes a ``clock`` accepts one of
     these; tests *advance* it past deadlines instead of sleeping, so
-    lease expiry, retry budgets, and breaker reset windows are exact
-    and instant.  :meth:`sleep` advances the clock, which is what lets
-    a whole retry schedule "run" in zero wall time.
+    lease expiry and retry budgets are exact and instant.
+    :meth:`sleep` advances the clock, which is what lets a whole retry
+    schedule "run" in zero wall time.
 
     >>> clock = ManualClock()
     >>> clock()
@@ -213,114 +213,3 @@ class RetryPolicy:
                 if on_retry is not None:
                     on_retry(attempt, exc)
                 sleep(pause)
-
-
-class CircuitBreaker:
-    """Classic three-state circuit breaker on an injectable clock.
-
-    *closed* (normal) → *open* after ``failure_threshold`` consecutive
-    failures (every :meth:`allow` raises
-    :class:`~repro.errors.CircuitOpenError` until ``reset_timeout``
-    passes) → *half-open* (exactly one probe call allowed through; its
-    success closes the breaker, its failure re-opens and re-arms the
-    window).
-
-    Thread-safe; the fabric uses one per upstream so a coordinator
-    that is *down* is probed at the reset cadence instead of hammered
-    by every worker thread's own retry loop.
-    """
-
-    CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
-
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 5,
-        reset_timeout: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-        name: str = "circuit",
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout <= 0:
-            raise ValueError(
-                f"reset_timeout must be positive, got {reset_timeout}"
-            )
-        self.name = name
-        self._threshold = failure_threshold
-        self._reset_timeout = reset_timeout
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._state = self.CLOSED
-        self._opened_at = 0.0
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        """``closed``, ``open``, or ``half-open`` (reset window passed)."""
-        with self._lock:
-            return self._state_locked()
-
-    def _state_locked(self) -> str:
-        if (
-            self._state == self.OPEN
-            and self._clock() - self._opened_at >= self._reset_timeout
-        ):
-            self._state = self.HALF_OPEN
-            self._probing = False
-        return self._state
-
-    def allow(self) -> None:
-        """Gate one attempt; raises when the circuit refuses it.
-
-        In the half-open state exactly one caller wins the probe slot;
-        concurrent callers are still refused until the probe reports.
-        """
-        with self._lock:
-            state = self._state_locked()
-            if state == self.CLOSED:
-                return
-            if state == self.HALF_OPEN and not self._probing:
-                self._probing = True
-                return
-            remaining = max(
-                0.0,
-                self._reset_timeout - (self._clock() - self._opened_at),
-            )
-            raise CircuitOpenError(self.name, remaining)
-
-    def record_success(self) -> None:
-        """The protected op worked; close the circuit and reset counts."""
-        with self._lock:
-            self._failures = 0
-            self._state = self.CLOSED
-            self._probing = False
-
-    def record_failure(self) -> None:
-        """The protected op failed; trip the circuit at the threshold."""
-        with self._lock:
-            state = self._state_locked()
-            self._failures += 1
-            if state == self.HALF_OPEN or self._failures >= self._threshold:
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-                self._probing = False
-
-    def call(
-        self,
-        fn: Callable[[], T],
-        *,
-        failure_on: tuple[type[BaseException], ...] = (Exception,),
-    ) -> T:
-        """Run *fn* through the breaker, recording the outcome."""
-        self.allow()
-        try:
-            result = fn()
-        except failure_on:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result

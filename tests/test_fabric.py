@@ -47,6 +47,7 @@ from fabric_chaos import (
     restart_coordinator,
     run_chaos_drill,
 )
+from repro import wire
 from repro.campaign import CampaignSpec, prepare_offline_cached
 from repro.campaign.runtime.fabric import (
     FabricClient,
@@ -170,6 +171,40 @@ class TestProtocol:
             status = client.request("status")
             assert status["outcomes_journaled"] == 0
             assert status["boards_complete"] == 0
+
+    def test_over_long_line_is_refused_like_a_torn_frame(
+        self, coordinator, monkeypatch
+    ):
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 64)
+        host, port = coordinator.address
+
+        def claim_line(content_bytes: int) -> bytes:
+            # A claim whose line, newline excluded, is exactly this long.
+            bare = len(wire.encode({"op": "claim", "worker": ""})) - 1
+            worker = "w" * (content_bytes - bare)
+            return wire.encode({"op": "claim", "worker": worker})
+
+        with socket.create_connection((host, port), timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(claim_line(65))
+            stream.flush()
+            refused = wire.decode(stream.readline())
+            assert stream.readline() == b""  # then the connection closes
+            stream.close()
+        assert refused["code"] == "bad-request"
+        assert "exceeds 64 bytes" in refused["error"]
+        with _client(coordinator) as client:
+            status = client.request("status")
+            assert status["leases_issued"] == 0
+            assert status["workers"] == []
+        # A line at the cap is still a request.
+        with socket.create_connection((host, port), timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(claim_line(64))
+            stream.flush()
+            claimed = wire.decode(stream.readline())
+            stream.close()
+        assert claimed["ok"] is True and claimed["board"] == 0
 
     def test_duplicate_claim_race_gets_distinct_boards_then_nothing(
         self, coordinator

@@ -1,16 +1,16 @@
-"""Tests for the self-healing toolkit: retry policies and breakers.
+"""Tests for the self-healing toolkit: retry policies.
 
 Everything runs on :class:`ManualClock` — a full retry schedule
-"sleeps" in zero wall time, so the backoff math, deadline budgets, and
-breaker reset windows are asserted exactly, not approximately.
+"sleeps" in zero wall time, so the backoff math and deadline budgets
+are asserted exactly, not approximately.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import CircuitOpenError, RetryExhaustedError
-from repro.utils.resilience import CircuitBreaker, ManualClock, RetryPolicy
+from repro.errors import RetryExhaustedError
+from repro.utils.resilience import ManualClock, RetryPolicy
 
 
 class TestManualClock:
@@ -145,83 +145,3 @@ class TestRetryPolicy:
                 clock=clock, sleep=clock.sleep,
             )
         assert clock() == 0.0
-
-
-class TestCircuitBreaker:
-    def make(self, clock, threshold=3, reset=30.0):
-        return CircuitBreaker(
-            failure_threshold=threshold, reset_timeout=reset,
-            clock=clock, name="coordinator",
-        )
-
-    def test_trips_at_threshold_and_reports_retry_after(self):
-        clock = ManualClock()
-        breaker = self.make(clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        clock.advance(10.0)
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.allow()
-        assert excinfo.value.retry_after == pytest.approx(20.0)
-
-    def test_half_open_grants_exactly_one_probe(self):
-        clock = ManualClock()
-        breaker = self.make(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(30.0)
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.allow()  # the probe slot
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()  # concurrent caller refused
-
-    def test_probe_success_closes_probe_failure_reopens(self):
-        clock = ManualClock()
-        breaker = self.make(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(30.0)
-        breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        # Trip again, probe again, fail the probe: back to open with a
-        # re-armed window.
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(30.0)
-        breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        clock.advance(29.0)
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()
-
-    def test_success_resets_the_consecutive_failure_count(self):
-        breaker = self.make(ManualClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_call_wraps_allow_and_recording(self):
-        clock = ManualClock()
-        breaker = self.make(clock, threshold=1)
-        with pytest.raises(ZeroDivisionError):
-            breaker.call(lambda: 1 / 0)
-        assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never runs")
-        clock.advance(30.0)
-        assert breaker.call(lambda: "probe") == "probe"
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_timeout=0.0)

@@ -399,6 +399,25 @@ class TestDaemonProtocol:
         assert job["code"] == "unknown-job"
         assert bad_op["code"] == "bad-request"
 
+    def test_malformed_field_is_refused_and_the_connection_survives(
+        self, service_factory
+    ):
+        # int("abc") inside the status handler used to escape the
+        # connection task: the client read EOF instead of an answer.
+        async def scenario():
+            service, host, port = await service_factory()
+            async with await AsyncServiceClient.connect(host, port) as client:
+                malformed = await client.request("status", job_id="abc")
+                hello = await client.request("hello")
+            await service.close()
+            return malformed, hello
+
+        malformed, hello = _run(scenario())
+        assert malformed["ok"] is False
+        assert malformed["code"] == "bad-request"
+        assert "ValueError" in malformed["error"]
+        assert hello["ok"] is True
+
     def test_job_lifecycle_and_stats(self, service_factory, resnet_dump):
         async def scenario():
             service, host, port = await service_factory()

@@ -16,12 +16,10 @@ plus a multi-model signature database, then:
    **Any divergence exits nonzero without timing anything.**
 2. times fast vs. reference (best-of-``--repeats`` wall clock) and an
    end-to-end fleet campaign — in-process and multiprocess twins on
-   the same 4-board spec, plus a ``campaign_fabric`` lane serving the
-   spec through the distributed coordinator to racing localhost
-   workers, and an ``explore`` lane timing a bounded evolutionary
-   search (generations/s through the real campaign engine) — and
-   writes the results to ``BENCH_analysis.json`` so the perf
-   trajectory is committed and comparable PR-over-PR.
+   the same 8-board spec, plus an ``explore`` lane timing a bounded
+   evolutionary search (generations/s through the real campaign
+   engine) — and writes the results to ``BENCH_analysis.json`` so the
+   perf trajectory is committed and comparable PR-over-PR.
 
 Exit status: 0 = verified and recorded, 2 = a fast path diverged from
 its reference or the multiprocess executor regressed below the
@@ -36,7 +34,6 @@ import json
 import statistics
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -64,14 +61,6 @@ from repro.campaign.runtime.executors import (  # noqa: E402
     InProcessExecutor,
     MultiprocessExecutor,
 )
-from repro.campaign.runtime.fabric import (  # noqa: E402
-    FabricCoordinator,
-    FabricWorker,
-)
-
-FABRIC_WORKERS = 2
-"""Concurrent workers the ``campaign_fabric`` bench lane runs against
-the coordinator (threads over a real localhost socket)."""
 from repro.evaluation.scenarios import BoardSession  # noqa: E402
 from repro.utils.buffers import BufferPool  # noqa: E402
 
@@ -363,45 +352,6 @@ def main() -> int:
     throughput = report.throughput
     mp_throughput = mp_report.throughput
 
-    # The distributed-fabric lane: the same spec served by a real
-    # coordinator socket to FABRIC_WORKERS racing worker threads.  Its
-    # ratio vs the in-process twin prices the protocol tax (framing,
-    # dump upload, journal fsyncs) — recorded for the trajectory, never
-    # gated: distribution buys fleet reach, not single-host speed.
-    def run_fabric(run_dir: Path) -> object:
-        coordinator = FabricCoordinator(
-            spec, run_dir,
-            prep=(campaign_profiles, campaign_database),
-        )
-        host, port = coordinator.serve()
-        try:
-            workers = [
-                FabricWorker(
-                    host, port, worker_id=f"bench{index}",
-                    poll_interval=None, heartbeat=False,
-                )
-                for index in range(FABRIC_WORKERS)
-            ]
-            threads = [
-                threading.Thread(target=worker.run) for worker in workers
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            return coordinator.run_until_complete(timeout=300)
-        finally:
-            coordinator.close()
-
-    fabric_walls: list[float] = []
-    with tempfile.TemporaryDirectory(prefix="bench_fabric_") as fabric_tmp:
-        run_fabric(Path(fabric_tmp) / "warm")  # warm the path
-        for index in range(args.repeats):
-            started = time.perf_counter()
-            fabric_report = run_fabric(Path(fabric_tmp) / f"run{index}")
-            fabric_walls.append(time.perf_counter() - started)
-    fabric_wall = statistics.median(fabric_walls)
-
     # The explore lane: a bounded evolution through the real campaign
     # engine, recorded as generations/s.  One warm run first so the
     # fuzzlab's offline-prep cache is populated and the timed run
@@ -474,16 +424,6 @@ def main() -> int:
             ),
             "speedup_vs_inprocess": round(mp_speedup, 2),
         },
-        "campaign_fabric": {
-            "boards": spec.boards,
-            "victims": fabric_report.victims,
-            "workers": FABRIC_WORKERS,
-            "wall_seconds": round(fabric_wall, 3),
-            "victims_per_second": round(
-                fabric_report.victims / fabric_wall, 3
-            ),
-            "ratio_vs_inprocess": round(campaign_wall / fabric_wall, 2),
-        },
         "explore": {
             "population": explore_config.population,
             "generations": explore_config.generations,
@@ -519,10 +459,6 @@ def main() -> int:
     print(f"campaign (multiprocess): "
           f"{payload['campaign_multiprocess']['victims_per_second']} victims/s "
           f"({payload['campaign_multiprocess']['speedup_vs_inprocess']}x vs "
-          f"in-process)")
-    print(f"campaign (fabric, {FABRIC_WORKERS} workers): "
-          f"{payload['campaign_fabric']['victims_per_second']} victims/s "
-          f"({payload['campaign_fabric']['ratio_vs_inprocess']}x vs "
           f"in-process)")
     print(f"explore  : {payload['explore']['generations_per_second']} "
           f"generations/s ({payload['explore']['evaluations']} campaign "

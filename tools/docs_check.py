@@ -54,6 +54,7 @@ DOCTESTED_MODULES = (
     "repro.fuzzlab.scenario",
     "repro.petalinux.sanitizer",
     "repro.petalinux.xen",
+    "repro.wire",
 )
 """Modules whose docstring examples must actually run.  Docstrings
 elsewhere may carry illustrative (non-self-contained) snippets; these
