@@ -1,13 +1,17 @@
-"""Straightforward reference implementations of the scan-core fast paths.
+"""Straightforward reference implementations of the fast paths.
 
 These are the per-byte-loop versions the single-pass engine in
-:mod:`repro.analysis.scan` replaced — kept verbatim so the fast paths
-can always be held to them:
+:mod:`repro.analysis.scan` replaced, plus the per-row marker search
+and per-pixel convolution that :class:`repro.utils.hexdump.HexDump`
+and :mod:`repro.vitis.ops` replaced with array operations — kept
+verbatim so the fast paths can always be held to them:
 
 - ``tests/test_analysis_scan.py`` asserts byte-identical region maps
-  and score-identical signature matches over randomized windows;
-- ``tools/bench_runner.py`` re-verifies the same equivalences on the
-  benchmark dump (exiting nonzero on any divergence) and times fast
+  and score-identical signature matches over randomized windows, and
+  ``tests/test_kernel_equivalence.py`` identical marker rows and
+  convolution outputs;
+- ``tools/bench_runner.py`` re-verifies the scan-core equivalences on
+  the benchmark dump (exiting nonzero on any divergence) and times fast
   vs. reference to record the speedup trajectory in
   ``BENCH_analysis.json``.
 
@@ -20,7 +24,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
 from repro.attack.carving import Region, RegionKind
+from repro.vitis.ops import _requantize
 
 
 def reference_shannon_entropy(data: bytes) -> float:
@@ -132,3 +139,62 @@ def reference_match(database, dump_data: bytes) -> dict:
 def reference_nonzero_bytes(data: bytes) -> int:
     """Per-byte nonzero count."""
     return sum(1 for byte in data if byte)
+
+
+def reference_marker_run_rows(
+    data: bytes, marker_word: int, minimum_rows: int = 2
+) -> list[int]:
+    """Per-row scan for runs of rows whose every 32-bit word is *marker_word*."""
+    solid_word = (marker_word & 0xFFFFFFFF).to_bytes(4, "little") * 4
+    solid_rows = []
+    for row_number in range(len(data) // 16):
+        start = row_number * 16
+        if data[start : start + 16] == solid_word:
+            solid_rows.append(row_number)
+    if minimum_rows <= 1:
+        return solid_rows
+    kept: list[int] = []
+    run: list[int] = []
+    for row_number in solid_rows:
+        if run and row_number == run[-1] + 1:
+            run.append(row_number)
+        else:
+            if len(run) >= minimum_rows:
+                kept.extend(run)
+            run = [row_number]
+    if len(run) >= minimum_rows:
+        kept.extend(run)
+    return kept
+
+
+def _reference_im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int
+) -> tuple[np.ndarray, int, int]:
+    """SAME-padded patch matrix of *x* (H, W, C) for a kh x kw window."""
+    height, width, channels = x.shape
+    pad_h, pad_w = kh // 2, kw // 2
+    padded = np.pad(x, ((pad_h, pad_h), (pad_w, pad_w), (0, 0)))
+    out_h = (height + 2 * pad_h - kh) // stride + 1
+    out_w = (width + 2 * pad_w - kw) // stride + 1
+    columns = np.empty((out_h * out_w, kh * kw * channels), dtype=np.int32)
+    row = 0
+    for oy in range(out_h):
+        iy = oy * stride
+        for ox in range(out_w):
+            ix = ox * stride
+            columns[row] = padded[iy : iy + kh, ix : ix + kw, :].reshape(-1)
+            row += 1
+    return columns, out_h, out_w
+
+
+def reference_conv2d_int8(
+    x: np.ndarray, weights: np.ndarray, stride: int, shift: int
+) -> np.ndarray:
+    """SAME conv, int8 in/out, int32 accumulate, per-pixel im2col."""
+    kh, kw, cin, cout = weights.shape
+    if x.shape[2] != cin:
+        raise ValueError(f"input has {x.shape[2]} channels, weights expect {cin}")
+    columns, out_h, out_w = _reference_im2col(x.astype(np.int32), kh, kw, stride)
+    flat_weights = weights.reshape(kh * kw * cin, cout).astype(np.int32)
+    acc = columns @ flat_weights
+    return _requantize(acc, shift).reshape(out_h, out_w, cout)

@@ -10,8 +10,9 @@ The registry covers every cross-cutting contract the codebase claims:
 ``scan_equivalence``
     every fast path in :mod:`repro.analysis.scan` (region maps, window
     classification, entropy, printable fraction, nonzero counting, the
-    Aho–Corasick signature matcher) is byte-/score-identical to its
-    per-byte reference in :mod:`repro.analysis.reference`, on real
+    Aho–Corasick signature matcher) and the numpy marker-row search of
+    :class:`~repro.utils.hexdump.HexDump` is byte-/score-identical to
+    its loop reference in :mod:`repro.analysis.reference`, on real
     scraped residue;
 ``region_partition``
     a region map is a partition of the dump: starts at zero, covers
@@ -66,6 +67,7 @@ from typing import Callable
 from repro.analysis.reference import (
     reference_classify_window,
     reference_map_dump,
+    reference_marker_run_rows,
     reference_match,
     reference_nonzero_bytes,
     reference_printable_fraction,
@@ -84,6 +86,7 @@ from repro.campaign.schedule import CampaignSpec, VictimJob, build_schedule
 from repro.campaign.worker import VictimOutcome
 from repro.evaluation.metrics import nonzero_bytes
 from repro.petalinux.sanitizer import SanitizePolicy
+from repro.utils.hexdump import HexDump
 
 ENTROPY_TOLERANCE = 1e-9
 """Float tolerance for entropy equivalence (the fast path sums the
@@ -91,6 +94,10 @@ same terms in a different order; everything else is exact)."""
 
 SAMPLED_WINDOWS = 8
 """Random windows / offsets probed per dump by the sampling checks."""
+
+MARKER_WORD = 0xFFFFFFFF
+"""The white corruption marker of Fig. 12 as a 32-bit word; its rows
+are searched for alone and in the runs of two the reconstructor keeps."""
 
 
 @dataclass(frozen=True)
@@ -284,6 +291,14 @@ def _scan_equivalence(world: ScenarioWorld) -> list[str]:
                 f"dump {artifact.digest[:12]}: Aho–Corasick signature "
                 f"match diverges from scan-per-token reference"
             )
+        for minimum_rows in (1, 2):
+            if HexDump(data).marker_run_rows(
+                MARKER_WORD, minimum_rows
+            ) != reference_marker_run_rows(data, MARKER_WORD, minimum_rows):
+                problems.append(
+                    f"dump {artifact.digest[:12]}: marker rows (runs of "
+                    f">= {minimum_rows}) diverge from the per-row reference"
+                )
     return problems
 
 

@@ -2,14 +2,18 @@
 
 This is the security-critical device of the paper: the PS DDR4 on the
 ZCU104 retains whatever a process wrote until some other agent
-overwrites it.  The model is a sparse page store — pages materialize on
-first write, and reads of untouched pages return the configured
-power-up fill.  Nothing in this class ever clears memory on its own;
-scrubbing is an explicit operation that only the OS-level defenses
-invoke.
+overwrites it.  The model is a sparse page store — reads of untouched
+pages return the configured power-up fill, a written page gets its own
+buffer on first write, and a scrubbed page shares one immutable page of
+its pattern until it is written (copy-on-write).  Nothing in this class
+ever clears memory on its own; scrubbing is an explicit operation that
+only the OS-level defenses (and the anonymous-page zeroing of a fresh
+mapping) invoke.
 
 Keeping the store sparse lets us model the full 2 GiB device of the
-ZCU104 without allocating 2 GiB of host memory.
+ZCU104 without allocating 2 GiB of host memory, and sharing scrubbed
+pages keeps a freshly mapped but untouched heap from costing a host
+page per frame.
 """
 
 from __future__ import annotations
@@ -17,10 +21,17 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import DramAddressError
 
 PAGE_SIZE = 4096
+
+
+@lru_cache(maxsize=256)
+def _solid_page(pattern: int) -> bytes:
+    """The one shared, immutable page of *pattern* (a byte) scrubs point at."""
+    return bytes([pattern]) * PAGE_SIZE
 
 
 class PowerUpFill(enum.Enum):
@@ -66,7 +77,9 @@ class DramDevice:
     capacity: int
     fill: PowerUpFill = PowerUpFill.ZEROS
     fill_seed: int = 0
-    _pages: dict[int, bytearray] = field(default_factory=dict, repr=False)
+    _pages: dict[int, bytes | bytearray] = field(default_factory=dict, repr=False)
+    """Touched pages: a private ``bytearray`` once written, else the
+    shared ``bytes`` page of the pattern it was last scrubbed with."""
     stats: DramStats = field(default_factory=DramStats, repr=False)
 
     def __post_init__(self) -> None:
@@ -96,7 +109,7 @@ class DramDevice:
             counter += 1
         return bytes(out[:PAGE_SIZE])
 
-    def _page_for_read(self, page_index: int) -> bytes:
+    def _page_for_read(self, page_index: int) -> bytes | bytearray:
         page = self._pages.get(page_index)
         if page is not None:
             return page
@@ -106,6 +119,11 @@ class DramDevice:
         page = self._pages.get(page_index)
         if page is None:
             page = bytearray(self._powerup_page(page_index))
+            self._pages[page_index] = page
+        elif isinstance(page, bytes):
+            # A scrubbed page shares its pattern page with every other
+            # frame scrubbed alike: copy it before the first write.
+            page = bytearray(page)
             self._pages[page_index] = page
         return page
 
@@ -181,17 +199,28 @@ class DramDevice:
 
     # -- scrubbing (defense hook only) -------------------------------------
 
-    def scrub_page(self, page_index: int, pattern: int = 0x00) -> None:
-        """Overwrite one page with *pattern* bytes.
+    def scrub_pages(self, frames: list[int], pattern: int = 0x00) -> None:
+        """Overwrite every page in *frames* with *pattern* bytes.
 
         This is the primitive the zero-on-free defense uses.  The
-        insecure default kernel never calls it — that absence *is* the
-        paper's vulnerability.
+        insecure default kernel never calls it on a freed frame — that
+        absence *is* the paper's vulnerability.  Every index is checked
+        before any page changes; each scrubbed page then points at one
+        shared page of the pattern, copied on its next write.
         """
-        if page_index < 0 or page_index >= self.capacity // PAGE_SIZE:
-            raise DramAddressError(page_index * PAGE_SIZE, self.capacity)
-        self._pages[page_index] = bytearray([pattern & 0xFF]) * PAGE_SIZE
-        self.stats.pages_scrubbed += 1
+        if not frames:
+            return
+        if min(frames) < 0 or max(frames) >= self.page_count:
+            wild = next(
+                index for index in frames if not 0 <= index < self.page_count
+            )
+            raise DramAddressError(wild * PAGE_SIZE, self.capacity)
+        self._pages.update(dict.fromkeys(frames, _solid_page(pattern & 0xFF)))
+        self.stats.pages_scrubbed += len(frames)
+
+    def scrub_page(self, page_index: int, pattern: int = 0x00) -> None:
+        """Overwrite one page with *pattern* bytes (see :meth:`scrub_pages`)."""
+        self.scrub_pages([page_index], pattern)
 
     def scrub_range(self, offset: int, length: int, pattern: int = 0x00) -> None:
         """Overwrite a byte range (page-unaligned edges handled)."""

@@ -28,7 +28,7 @@ from repro.mmu.paging import (
     page_count,
     vpn_of,
 )
-from repro.mmu.pagetable import PageTable, PageTableEntry
+from repro.mmu.pagetable import PageTable
 
 
 class VmaKind(enum.Enum):
@@ -145,18 +145,8 @@ class AddressSpace:
         # Anonymous pages are zero-filled when handed to userspace, as on
         # any Linux.  The paper's residue lives in *freed* frames read
         # through /dev/mem — a path this zeroing does not touch.
-        for frame in frames:
-            self.memory.scrub_page(frame)
-        for index, vpn in enumerate(range(vpn_of(start), vpn_of(end - 1) + 1)):
-            self.page_table.map_page(
-                vpn,
-                PageTableEntry(
-                    frame=frames[index],
-                    readable="r" in perms,
-                    writable="w" in perms,
-                    executable="x" in perms,
-                ),
-            )
+        self.memory.scrub_pages(frames)
+        self.page_table.map_range(vpn_of(start), frames, perms)
 
     def add_vma(
         self,
@@ -188,9 +178,9 @@ class AddressSpace:
         """
         if vma not in self._vmas:
             raise VmaError(f"VMA {vma.name!r} not part of this address space")
-        frames = []
-        for vpn in range(vpn_of(vma.start), vpn_of(vma.end - 1) + 1):
-            frames.append(self.page_table.unmap_page(vpn).frame)
+        frames = self.page_table.unmap_range(
+            vpn_of(vma.start), page_count(vma.length)
+        )
         self._vmas.remove(vma)
         return frames
 

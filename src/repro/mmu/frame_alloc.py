@@ -76,17 +76,17 @@ class FrameAllocator:
         # RANDOM models physical ASLR: placement must be unpredictable
         # for *first* allocations too, so the whole frame range starts
         # in the (randomly drawn-from) pool and the watermark is spent.
+        # The pool is a list (LIFO takes a slice off its end, RANDOM
+        # swap-removes) except under FIFO, which pops from the front.
+        self._free_pool: "deque[int] | list[int]" = (
+            deque() if policy is ReusePolicy.FIFO else []
+        )
         if policy is ReusePolicy.RANDOM:
             self._watermark = total_frames
-            # A plain list allows O(1) swap-remove random draws.
-            self._free_pool: "deque[int] | list[int]" = list(
-                range(base_frame, total_frames)
-            )
-            self._free_set: set[int] = set(self._free_pool)
+            self._free_pool.extend(range(base_frame, total_frames))
         else:
             self._watermark = base_frame
-            self._free_pool = deque()
-            self._free_set = set()
+        self._free_set: set[int] = set(self._free_pool)
         self._owner: dict[int, int | None] = {}
         self._last_owner: dict[int, int] = {}
         self.stats = FrameAllocatorStats()
@@ -125,28 +125,36 @@ class FrameAllocator:
 
     # -- allocation --------------------------------------------------------
 
-    def _take_from_pool(self) -> int:
+    def _take_from_pool(self, count: int) -> list[int]:
+        """Remove *count* frames from the pool in the policy's order."""
+        pool = self._free_pool
         if self._policy is ReusePolicy.LIFO:
-            frame = self._free_pool.pop()
+            cut = len(pool) - count
+            frames = pool[cut:]
+            del pool[cut:]
+            frames.reverse()
         elif self._policy is ReusePolicy.FIFO:
-            frame = self._free_pool.popleft()
+            frames = [pool.popleft() for _ in range(count)]
         else:
             # Swap-remove keeps random draws O(1) even with the whole
             # frame range pooled (the physical-ASLR configuration).
-            index = self._rng.randrange(len(self._free_pool))
-            last = self._free_pool[-1]
-            frame = self._free_pool[index]
-            self._free_pool[index] = last
-            self._free_pool.pop()
-        self._free_set.discard(frame)
-        return frame
+            randrange = self._rng.randrange
+            frames = []
+            for _ in range(count):
+                index = randrange(len(pool))
+                frames.append(pool[index])
+                pool[index] = pool[-1]
+                pool.pop()
+        self._free_set.difference_update(frames)
+        return frames
 
     def allocate(self, count: int, owner: int | None = None) -> list[int]:
         """Allocate *count* frames for *owner* (a pid, or None for kernel).
 
         Freed frames are preferred over never-used frames, because that
         is what exposes residue to reuse — and what the reuse-decay
-        experiment measures.  Raises
+        experiment measures.  The frames, and the state left behind,
+        are those of *count* one-frame calls.  Raises
         :class:`~repro.errors.OutOfMemoryError` if the request cannot
         be satisfied (no partial allocation is left behind).
         """
@@ -156,17 +164,13 @@ class FrameAllocator:
             raise OutOfMemoryError(
                 f"requested {count} frames, only {self.free_frames()} free"
             )
-        frames = []
-        for _ in range(count):
-            if self._free_pool:
-                frame = self._take_from_pool()
-            else:
-                frame = self._watermark
-                self._watermark += 1
-            self._owner[frame] = owner
-            if owner is not None:
-                self._last_owner[frame] = owner
-            frames.append(frame)
+        frames = self._take_from_pool(min(count, len(self._free_pool)))
+        fresh = count - len(frames)
+        frames.extend(range(self._watermark, self._watermark + fresh))
+        self._watermark += fresh
+        self._owner.update(dict.fromkeys(frames, owner))
+        if owner is not None:
+            self._last_owner.update(dict.fromkeys(frames, owner))
         self.stats.allocations += 1
         self.stats.frames_allocated += count
         return frames
@@ -174,16 +178,23 @@ class FrameAllocator:
     def free(self, frames: list[int]) -> None:
         """Return *frames* to the pool.  Contents are NOT cleared.
 
-        Raises ``ValueError`` on double-free or freeing an unallocated
-        frame — those are simulation bugs, not modelled behaviour.
+        Raises ``ValueError`` on double-free, freeing an unallocated
+        frame or naming a frame twice — those are simulation bugs, not
+        modelled behaviour — before any frame is returned.
         """
-        for frame in frames:
-            if frame not in self._owner:
-                raise ValueError(f"double free or wild free of frame {frame}")
+        unique = set(frames)
+        if len(unique) != len(frames) or not self._owner.keys() >= unique:
+            seen: set[int] = set()
+            for frame in frames:
+                if frame not in self._owner:
+                    raise ValueError(f"double free or wild free of frame {frame}")
+                if frame in seen:
+                    raise ValueError(f"frame {frame} freed twice in one call")
+                seen.add(frame)
         for frame in frames:
             del self._owner[frame]
-            self._free_pool.append(frame)
-            self._free_set.add(frame)
+        self._free_pool.extend(frames)
+        self._free_set.update(unique)
         self.stats.frees += 1
         self.stats.frames_freed += len(frames)
 

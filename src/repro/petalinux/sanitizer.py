@@ -83,8 +83,7 @@ class Sanitizer:
         if self.policy is SanitizePolicy.NONE:
             return
         if self.policy is SanitizePolicy.ZERO_ON_FREE:
-            for frame in frames:
-                self.dram.scrub_page(frame, self.pattern)
+            self.dram.scrub_pages(frames, self.pattern)
             self.stats.frames_scrubbed_sync += len(frames)
             return
         self._queue.extend(frames)
@@ -98,12 +97,8 @@ class Sanitizer:
         """
         if self.policy is not SanitizePolicy.SCRUB_POOL:
             return 0
-        scrubbed = 0
-        while self._queue and scrubbed < self.scrub_rate_per_tick:
-            self.dram.scrub_page(self._queue.popleft(), self.pattern)
-            scrubbed += 1
-        self.stats.frames_scrubbed_async += scrubbed
-        return scrubbed
+        batch = min(self.scrub_rate_per_tick, len(self._queue))
+        return self._scrub_queued([self._queue.popleft() for _ in range(batch)])
 
     @property
     def pending(self) -> int:
@@ -116,9 +111,11 @@ class Sanitizer:
         Used by experiments to close the vulnerability window on
         demand.
         """
-        total = 0
-        while self._queue:
-            self.dram.scrub_page(self._queue.popleft(), self.pattern)
-            total += 1
-        self.stats.frames_scrubbed_async += total
-        return total
+        frames = list(self._queue)
+        self._queue.clear()
+        return self._scrub_queued(frames)
+
+    def _scrub_queued(self, frames: list[int]) -> int:
+        self.dram.scrub_pages(frames, self.pattern)
+        self.stats.frames_scrubbed_async += len(frames)
+        return len(frames)

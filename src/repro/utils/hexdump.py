@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 _PAPER_ROW_BYTES = 16
 _GROUP_RE = re.compile(r"^[0-9a-fA-F]{4}$")
 
@@ -180,28 +182,22 @@ class HexDump:
         Used to locate the corrupted-image block of Fig. 12 (rows that
         are solid ``FFFF FFFF ...``).  Only runs of at least
         *minimum_rows* consecutive solid rows are reported, which
-        filters out accidental single-row matches.
+        filters out accidental single-row matches.  The search reads
+        the rows as little-endian words in place and keeps no view of
+        the buffer, so the caller may release or resize it straight
+        after.
         """
-        solid_word = (marker_word & 0xFFFFFFFF).to_bytes(4, "little") * 4
-        solid_rows = []
-        for row_number in range(len(self._data) // _PAPER_ROW_BYTES):
-            start = row_number * _PAPER_ROW_BYTES
-            if self._data[start : start + _PAPER_ROW_BYTES] == solid_word:
-                solid_rows.append(row_number)
-        if minimum_rows <= 1:
-            return solid_rows
-        kept: list[int] = []
-        run: list[int] = []
-        for row_number in solid_rows:
-            if run and row_number == run[-1] + 1:
-                run.append(row_number)
-            else:
-                if len(run) >= minimum_rows:
-                    kept.extend(run)
-                run = [row_number]
-        if len(run) >= minimum_rows:
-            kept.extend(run)
-        return kept
+        row_count = len(self._data) // _PAPER_ROW_BYTES
+        words = np.frombuffer(self._data, dtype="<u4", count=row_count * 4)
+        solid = (words.reshape(row_count, 4) == (marker_word & 0xFFFFFFFF)).all(axis=1)
+        solid_rows = np.flatnonzero(solid)
+        if minimum_rows > 1 and solid_rows.size:
+            # Split the solid rows into runs of consecutive numbers and
+            # keep each run whose length reaches the minimum.
+            breaks = np.flatnonzero(np.diff(solid_rows) != 1) + 1
+            lengths = np.diff(breaks, prepend=0, append=solid_rows.size)
+            solid_rows = solid_rows[np.repeat(lengths >= minimum_rows, lengths)]
+        return solid_rows.tolist()
 
     def __len__(self) -> int:
         return len(self._data)

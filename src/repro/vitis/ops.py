@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _VALID_KINDS = ("conv2d", "relu", "maxpool", "resblock", "gap", "fc")
 
@@ -58,38 +59,41 @@ class LayerSpec:
 
 
 def _requantize(acc: np.ndarray, shift: int) -> np.ndarray:
-    """int32 accumulator -> int8 with rounding right-shift and saturation."""
+    """Integer accumulator -> int8 with rounding right-shift and saturation."""
     rounded = (acc + (1 << (shift - 1))) >> shift if shift > 0 else acc
     return np.clip(rounded, -128, 127).astype(np.int8)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """SAME-padded patch matrix of *x* (H, W, C) for a kh x kw window."""
+    """SAME-padded float64 patch matrix of *x* (H, W, C) for a kh x kw window.
+
+    Row ``oy * out_w + ox`` holds the window at ``(oy, ox) * stride`` in
+    ``(kh, kw, C)`` order, matching the ``(kh, kw, cin, cout)`` weights.
+    """
     height, width, channels = x.shape
     pad_h, pad_w = kh // 2, kw // 2
-    padded = np.pad(x, ((pad_h, pad_h), (pad_w, pad_w), (0, 0)))
-    out_h = (height + 2 * pad_h - kh) // stride + 1
-    out_w = (width + 2 * pad_w - kw) // stride + 1
-    columns = np.empty((out_h * out_w, kh * kw * channels), dtype=np.int32)
-    row = 0
-    for oy in range(out_h):
-        iy = oy * stride
-        for ox in range(out_w):
-            ix = ox * stride
-            columns[row] = padded[iy : iy + kh, ix : ix + kw, :].reshape(-1)
-            row += 1
+    padded = np.zeros((height + 2 * pad_h, width + 2 * pad_w, channels))
+    padded[pad_h : pad_h + height, pad_w : pad_w + width] = x
+    windows = sliding_window_view(padded, (kh, kw), axis=(0, 1))[::stride, ::stride]
+    out_h, out_w = windows.shape[:2]
+    columns = windows.transpose(0, 1, 3, 4, 2).reshape(out_h * out_w, -1)
     return columns, out_h, out_w
 
 
 def conv2d_int8(x: np.ndarray, weights: np.ndarray, stride: int, shift: int) -> np.ndarray:
-    """SAME conv, int8 in/out, int32 accumulate (x: HWC, w: KKIO)."""
+    """SAME conv, int8 in/out, exact integer accumulate (x: HWC, w: KKIO).
+
+    The patch matmul runs in float64, so numpy hands it to BLAS.  It is
+    exact: a product of two int8 values is at most 2**14 in magnitude,
+    so any sum of fewer than 2**39 of them stays below 2**53, where
+    every integer is a float64.
+    """
     kh, kw, cin, cout = weights.shape
     if x.shape[2] != cin:
         raise ValueError(f"input has {x.shape[2]} channels, weights expect {cin}")
-    columns, out_h, out_w = _im2col(x.astype(np.int32), kh, kw, stride)
-    flat_weights = weights.reshape(kh * kw * cin, cout).astype(np.int32)
-    acc = columns @ flat_weights
-    return _requantize(acc, shift).reshape(out_h, out_w, cout)
+    columns, out_h, out_w = _im2col(x, kh, kw, stride)
+    acc = columns @ weights.reshape(kh * kw * cin, cout).astype(np.float64)
+    return _requantize(acc.astype(np.int64), shift).reshape(out_h, out_w, cout)
 
 
 def relu_int8(x: np.ndarray) -> np.ndarray:

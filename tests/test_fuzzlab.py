@@ -171,6 +171,24 @@ class TestOracleRegistry:
         with pytest.raises(ValueError, match="unknown oracle"):
             check_world(object(), ("not_an_oracle",))
 
+    def test_scan_equivalence_catches_a_diverging_marker_search(
+        self, monkeypatch
+    ):
+        from repro.utils.hexdump import HexDump
+
+        original = HexDump.marker_run_rows
+
+        def off_by_one(self, marker_word, minimum_rows=2):
+            return original(self, marker_word, minimum_rows) + [len(self)]
+
+        monkeypatch.setattr(HexDump, "marker_run_rows", off_by_one)
+        verdict = run_scenario(small_scenario())
+        assert "scan_equivalence" in verdict.violated_oracles
+        assert any(
+            "marker rows" in violation.message
+            for violation in verdict.violations
+        )
+
 
 class TestFuzzDeterminism:
     def test_same_seed_same_bytes_and_all_green(self):

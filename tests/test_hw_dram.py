@@ -110,6 +110,47 @@ class TestResidueRetention:
             dram.scrub_page(64)
 
 
+class TestCopyOnWriteScrub:
+    def test_write_to_one_scrubbed_page_leaves_the_others(self, dram):
+        dram.scrub_pages([1, 2, 3])
+        dram.write(2 * PAGE_SIZE + 10, b"victim")
+        assert dram.read(2 * PAGE_SIZE + 10, 6) == b"victim"
+        for page in (1, 3):
+            assert dram.read(page * PAGE_SIZE, PAGE_SIZE) == b"\x00" * PAGE_SIZE
+
+    def test_later_scrub_reads_as_its_pattern(self, dram):
+        dram.scrub_pages([4, 5], pattern=0xA5)
+        dram.write(4 * PAGE_SIZE, b"residue")
+        dram.scrub_pages([4, 6], pattern=0xA5)
+        for page in (4, 5, 6):
+            assert dram.read(page * PAGE_SIZE, PAGE_SIZE) == b"\xa5" * PAGE_SIZE
+        dram.write(6 * PAGE_SIZE, b"x")
+        assert dram.read(4 * PAGE_SIZE, 1) == b"\xa5"
+
+    def test_pseudo_random_fill_scrubbed_versus_untouched(self):
+        dram = DramDevice(capacity=4 * PAGE_SIZE, fill=PowerUpFill.PSEUDO_RANDOM)
+        noise = dram.read(1 * PAGE_SIZE, PAGE_SIZE)
+        dram.scrub_pages([0, 2], pattern=0x3C)
+        assert dram.read(0, PAGE_SIZE) == b"\x3c" * PAGE_SIZE
+        assert dram.read(2 * PAGE_SIZE, PAGE_SIZE) == b"\x3c" * PAGE_SIZE
+        assert dram.read(1 * PAGE_SIZE, PAGE_SIZE) == noise
+        assert len(set(noise)) > 1
+
+    def test_counts_every_frame_named(self, dram):
+        dram.scrub_pages([1, 2, 2])
+        dram.scrub_pages([])
+        assert dram.stats.pages_scrubbed == 3
+
+    def test_out_of_range_frame_scrubs_nothing(self, dram):
+        dram.write(PAGE_SIZE, b"residue")
+        with pytest.raises(DramAddressError):
+            dram.scrub_pages([1, 64])
+        with pytest.raises(DramAddressError):
+            dram.scrub_pages([-1, 1])
+        assert dram.read(PAGE_SIZE, 7) == b"residue"
+        assert dram.stats.pages_scrubbed == 0
+
+
 class TestPowerUpFill:
     def test_pseudo_random_fill_is_deterministic(self):
         first = DramDevice(capacity=4 * PAGE_SIZE, fill=PowerUpFill.PSEUDO_RANDOM)

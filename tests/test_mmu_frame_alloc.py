@@ -93,6 +93,18 @@ class TestFree:
         # The valid frames must not have been freed by the failed call.
         assert allocator.is_allocated(frames[0])
 
+    def test_repeated_frame_free_is_atomic(self, allocator):
+        frames = allocator.allocate(51)
+        free_before = allocator.free_frames()
+        with pytest.raises(ValueError):
+            allocator.free([frames[0], frames[0]])
+        assert allocator.is_allocated(frames[0])
+        assert not allocator.is_free(frames[0])
+        assert allocator.free_frames() == free_before
+        assert allocator.stats.frees == 0
+        allocator.free(frames)
+        assert allocator.free_frames() == 64
+
 
 class TestReusePolicies:
     def test_lifo_reuses_most_recently_freed_first(self):

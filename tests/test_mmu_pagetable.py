@@ -43,6 +43,36 @@ class TestMapping:
         assert len(table) == 2
 
 
+class TestRanges:
+    def test_map_range_maps_consecutive_vpns(self, table):
+        table.map_range(0x10, [7, 3, 9], "r-x")
+        assert [table.translate(vpn << 12) >> 12 for vpn in (0x10, 0x11, 0x12)] == [
+            7, 3, 9,
+        ]
+        assert table.lookup(0x11) == PageTableEntry(
+            frame=3, writable=False, executable=True
+        )
+
+    def test_map_range_onto_mapped_vpn_maps_nothing(self, table):
+        table.map_page(0x12, PageTableEntry(frame=5))
+        with pytest.raises(ValueError):
+            table.map_range(0x10, [1, 2, 3, 4], "rw-")
+        assert table.mapped_vpns() == [0x12]
+        assert table.frames() == [5]
+
+    def test_unmap_range_returns_frames_in_vpn_order(self, table):
+        table.map_range(0x20, [4, 8, 2], "rw-p")
+        assert table.unmap_range(0x20, 3) == [4, 8, 2]
+        assert len(table) == 0
+
+    def test_unmap_range_with_a_hole_unmaps_nothing(self, table):
+        table.map_range(0x20, [4, 8], "rw-")
+        with pytest.raises(TranslationFault) as excinfo:
+            table.unmap_range(0x20, 3)
+        assert excinfo.value.virtual_address == 0x22 << 12
+        assert table.frames() == [4, 8]
+
+
 class TestTranslate:
     def test_preserves_page_offset(self, table):
         table.map_page(0xAAAA_EE77_5, PageTableEntry(frame=0x60025))

@@ -148,6 +148,39 @@ def test_frame_allocator_never_double_allocates(script, policy):
     assert allocator.allocated_frames() == len(outstanding)
 
 
+@given(
+    script=alloc_free_scripts(),
+    policy=st.sampled_from(list(ReusePolicy)),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60)
+def test_frame_allocator_batch_equals_single_frame_calls(script, policy, seed):
+    """allocate(n) hands out, and leaves behind, what n allocate(1) calls do."""
+    batched = FrameAllocator(total_frames=128, policy=policy, seed=seed)
+    single = FrameAllocator(total_frames=128, policy=policy, seed=seed)
+    held: list[list[int]] = []
+    for step, (operation, count) in enumerate(script):
+        if operation == "alloc":
+            if count > batched.free_frames():
+                continue
+            frames = batched.allocate(count, owner=step)
+            assert frames == [single.allocate(1, owner=step)[0] for _ in range(count)]
+            held.append(frames)
+        elif held:
+            frames = held.pop()
+            batched.free(frames)
+            single.free(frames)
+    for frame in range(128):
+        assert batched.owner_of(frame) == single.owner_of(frame)
+        assert batched.last_owner_of(frame) == single.last_owner_of(frame)
+        assert batched.is_free(frame) == single.is_free(frame)
+    # Draining both frame by frame exposes pool order, watermark and RNG.
+    remaining = batched.free_frames()
+    assert remaining == single.free_frames()
+    drained = [batched.allocate(1)[0] for _ in range(remaining)]
+    assert drained == [single.allocate(1)[0] for _ in range(remaining)]
+
+
 @given(policy=st.sampled_from(list(ReusePolicy)))
 def test_frame_allocator_conservation(policy):
     allocator = FrameAllocator(total_frames=64, policy=policy)

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import sys
 import tempfile
@@ -224,6 +226,25 @@ def verify_zero_copy(pooled_dump: ScrapedDump, reference_dump: ScrapedDump,
     return failures
 
 
+def host_info() -> dict:
+    """The host the numbers were taken on: cores, CPU, library versions."""
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path,
@@ -380,6 +401,7 @@ def main() -> int:
 
     payload = {
         "generated_by": "tools/bench_runner.py (make bench-json)",
+        "host": host_info(),
         "verified": True,
         "dump": {
             "mib": round(mib, 3),

@@ -52,6 +52,7 @@ PACKAGES: dict[str, Path] = {
 TEST_TARGETS = (
     "tests/test_fuzzlab.py",
     "tests/test_analysis_scan.py",
+    "tests/test_kernel_equivalence.py",
     "tests/test_zero_copy.py",
     "tests/test_service.py",
     "tests/test_explore.py",
