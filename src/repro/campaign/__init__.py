@@ -17,7 +17,7 @@ at cloud scale.  This package provides that scale for the simulation:
 - :mod:`repro.campaign.engine` — :func:`run_campaign`: one offline
   prep, then every board concurrently on a worker pool;
 - :mod:`repro.campaign.runtime` — the process-parallel, checkpointable
-  runtime: executors (threads or a ``multiprocessing`` pool), the
+  runtime: executors (threads or ``multiprocessing`` shards), the
   content-addressed :class:`DumpSpool`, and
   :class:`CampaignRuntime` for journaled interrupt/resume runs
   (``repro campaign run --run-dir/--resume``) — plus the distributed

@@ -10,8 +10,8 @@
    once, not once per victim);
 3. hand the fleet's boards to an executor from
    :mod:`repro.campaign.runtime.executors` — threads sharing the prep
-   by reference for small fleets, a ``multiprocessing`` worker pool
-   sharding boards across cores for large ones (``executor="auto"``
+   by reference for small fleets, ``multiprocessing`` shard processes
+   spreading boards across cores for large ones (``executor="auto"``
    picks; both stream outcomes back wave by wave and produce
    identical results);
 4. collect every outcome into a

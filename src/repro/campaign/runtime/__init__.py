@@ -8,10 +8,11 @@ PAPERS.md demand).  This package turns the engine into a restartable,
 service-grade runtime:
 
 - :mod:`~repro.campaign.runtime.executors` — the placement layer:
-  boards on threads (:class:`InProcessExecutor`) or sharded across a
-  ``multiprocessing`` pool (:class:`MultiprocessExecutor`), streaming
-  wave outcomes back over a queue; :func:`resolve_executor` applies
-  the small-fleet fallback policy.
+  boards on threads (:class:`InProcessExecutor`) or sharded across
+  one ``multiprocessing`` process per shard for the length of a run
+  (:class:`MultiprocessExecutor`), streaming wave outcomes back over a
+  queue; :func:`resolve_executor` applies the small-fleet fallback
+  policy.
 - :mod:`~repro.campaign.runtime.spool` — :class:`DumpSpool`, the
   content-addressed on-disk store every scraped dump lands in the
   moment step-4 analysis finishes, keeping resident memory flat
@@ -38,7 +39,6 @@ from repro.campaign.runtime.checkpoint import (
     JournalState,
     RunDirectory,
     canonical_outcome,
-    manifest_records,
 )
 from repro.campaign.runtime.executors import (
     MULTIPROCESS_AUTO_BOARDS,
@@ -80,6 +80,5 @@ __all__ = [
     "RunDirectory",
     "SpoolEntry",
     "canonical_outcome",
-    "manifest_records",
     "resolve_executor",
 ]

@@ -43,6 +43,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Iterable
 
 from repro.campaign.report import CampaignReport
 from repro.campaign.schedule import (
@@ -59,29 +60,6 @@ SPEC_FORMAT = 1
 def canonical_outcome(outcome: VictimOutcome) -> VictimOutcome:
     """Zero the wall-clock fields — the only nondeterministic ones."""
     return replace(outcome, wall_seconds=0.0, teardown_seconds=0.0)
-
-
-def manifest_records(outcomes: list[VictimOutcome]) -> list[dict]:
-    """The spool-manifest records for a final outcome list.
-
-    One record per outcome that produced a dump, mapping the job back
-    to its content digest.  Shared by every completion path — the
-    local :class:`~repro.campaign.runtime.runner.CampaignRuntime` and
-    the distributed fabric coordinator — so a run directory's
-    ``spool/manifest.json`` looks the same however the campaign ran.
-    """
-    return [
-        {
-            "job_id": outcome.job_id,
-            "board": outcome.board_index,
-            "wave": outcome.launch_wave,
-            "model": outcome.model_name,
-            "sha256": outcome.dump_sha256,
-            "nbytes": outcome.nbytes,
-        }
-        for outcome in outcomes
-        if outcome.dump_sha256 is not None
-    ]
 
 
 @dataclass
@@ -352,10 +330,37 @@ class RunDirectory:
 
     # -- results -------------------------------------------------------------
 
-    def write_report(self, report: CampaignReport) -> Path:
-        """Persist the canonical final report."""
+    def write_report(
+        self, spec: CampaignSpec, outcomes: Iterable[VictimOutcome]
+    ) -> CampaignReport:
+        """Build and persist the canonical report and spool manifest.
+
+        Outcomes are sorted by ``job_id`` and the wall clock is
+        zeroed.  Every completion path — the local
+        :class:`~repro.campaign.runtime.runner.CampaignRuntime` and
+        the distributed fabric coordinator — finishes here, so
+        ``report.json`` and ``spool/manifest.json`` come out the same
+        bytes however the campaign ran.  The manifest maps each job
+        that produced a dump to its content digest.
+        """
+        ordered = sorted(outcomes, key=lambda outcome: outcome.job_id)
+        report = CampaignReport(spec=spec, outcomes=ordered, wall_seconds=0.0)
         self.report_path.write_text(report.to_json() + "\n")
-        return self.report_path
+        self.spool.write_manifest(
+            [
+                {
+                    "job_id": outcome.job_id,
+                    "board": outcome.board_index,
+                    "wave": outcome.launch_wave,
+                    "model": outcome.model_name,
+                    "sha256": outcome.dump_sha256,
+                    "nbytes": outcome.nbytes,
+                }
+                for outcome in ordered
+                if outcome.dump_sha256 is not None
+            ]
+        )
+        return report
 
     def write_telemetry(self, telemetry: dict) -> Path:
         """Persist the run's real (non-canonical) operational numbers."""

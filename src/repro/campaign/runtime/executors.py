@@ -14,17 +14,14 @@ executor owns only placement and transport.
   signature automaton by reference.  The right choice for small
   fleets and the only one that supports ``teardown_hook`` (a live
   callable cannot cross a process boundary).
-- :class:`MultiprocessExecutor` — boards sharded round-robin across a
-  ``multiprocessing`` worker pool.  Each worker receives the spec and
-  the offline prep *by value* (spec dict + profiles JSON + the mined
-  signature database as a token payload — re-mining signatures per
-  worker is quadratic in the model mix and was the dominant cost of
-  worker startup), provisions only its own boards, and streams wave
-  outcomes back over a queue as plain dicts.  Because a board
-  simulation is a pure function of ``(spec, board_index)`` and both
-  the profile notebook and the database payload round-trip
-  losslessly, the outcomes are **identical** to the in-process
-  executor's — the regression suite pins this.
+- :class:`MultiprocessExecutor` — boards sharded round-robin across
+  one child process per shard, started for one run and joined before
+  it returns.  A forked child inherits the spec and the offline prep
+  as they are (a spawned one unpickles them), provisions only its own
+  boards, and streams :class:`VictimOutcome` objects back over one
+  queue.  Because a board simulation is a pure function of
+  ``(spec, board_index)``, the outcomes are **identical** to the
+  in-process executor's — the regression suite pins this.
 
 :func:`resolve_executor` applies the default placement policy: fleets
 of :data:`MULTIPROCESS_AUTO_BOARDS` boards or more go multiprocess,
@@ -40,7 +37,6 @@ import queue as queue_module
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 from typing import Callable, Iterable, Sequence
 
 from repro.attack.config import AttackConfig
@@ -52,8 +48,6 @@ from repro.campaign.schedule import (
     CampaignSpec,
     build_schedule,
     jobs_by_board,
-    spec_from_dict,
-    spec_to_dict,
 )
 from repro.campaign.worker import BoardWorker, TeardownHook, VictimOutcome
 from repro.petalinux.kernel import KernelConfig
@@ -75,9 +69,15 @@ MULTIPROCESS_AUTO_BOARDS = 8
 
 _QUEUE_POLL_SECONDS = 1.0
 
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+"""Fork where the platform offers it, so shards inherit the prep
+objects instead of unpickling them."""
+
 
 class CampaignExecutionError(RuntimeError):
-    """A worker process died; carries its formatted traceback."""
+    """A shard process died; carries its formatted traceback."""
 
 
 def resolve_executor(
@@ -189,10 +189,9 @@ class InProcessExecutor:
                 on_wave(index, wave, outcomes)
             on_board_complete(index)
 
-        max_workers = (
-            self._max_workers or spec.max_workers or len(populated)
+        pool = ThreadPoolExecutor(
+            max_workers=self._max_workers or len(populated)
         )
-        pool = ThreadPoolExecutor(max_workers=max_workers)
         futures = [pool.submit(run_board, index) for index in populated]
         try:
             for future in futures:
@@ -202,27 +201,24 @@ class InProcessExecutor:
 
 
 def _run_shard(
-    spec_payload: dict,
-    profiles_json: str,
-    database_payload: dict[str, list[str]],
-    kernel_config: KernelConfig | None,
+    spec: CampaignSpec,
     board_indices: tuple[int, ...],
+    profiles: ProfileStore,
+    database: SignatureDatabase,
+    kernel_config: KernelConfig | None,
     spool_root: str | None,
     queue: "multiprocessing.Queue",
+    shard_index: int,
 ) -> None:
-    """Run one shard of boards and stream results onto *queue*.
+    """Run one shard of boards in a child process, streaming results.
 
-    Everything arrives by value (spec dict, profiles JSON, signature
-    database payload) so the worker is self-sufficient under any start
-    method; outcomes leave as ``asdict`` payloads and are rebuilt
-    parent-side.  Rehydrating the database from its payload skips the
-    per-worker signature re-mining that used to dominate startup.
+    A forked child inherits the prep objects as they are; a spawned
+    one unpickles them.  Outcomes go onto *queue* as they complete,
+    followed by ``("shard_done", shard_index)``; a failure ships its
+    traceback instead.
     """
     board = -1
     try:
-        spec = spec_from_dict(spec_payload)
-        profiles = ProfileStore.from_json(profiles_json)
-        database = SignatureDatabase.from_payload(database_payload)
         config = AttackConfig(coalesce_reads=spec.coalesce_reads)
         spool = DumpSpool(spool_root) if spool_root is not None else None
         grouped = jobs_by_board(build_schedule(spec))
@@ -231,135 +227,26 @@ def _run_shard(
             worker = BoardWorker(
                 provisioned, profiles, database, config, spool=spool
             )
-            for wave, outcomes in worker.iter_waves(grouped.get(board, [])):
-                queue.put(
-                    (
-                        "wave",
-                        board,
-                        wave,
-                        [asdict(outcome) for outcome in outcomes],
-                    )
-                )
+            for wave, outcomes in worker.iter_waves(grouped[board]):
+                queue.put(("wave", board, wave, outcomes))
             queue.put(("board_complete", board))
     except Exception:  # noqa: BLE001 — ship the traceback to the parent
         queue.put(("error", board, traceback.format_exc()))
-
-
-def _worker_main(
-    worker_index: int,
-    tasks: "multiprocessing.Queue",
-    results: "multiprocessing.Queue",
-) -> None:
-    """Long-lived worker loop: run shard tasks until told to stop.
-
-    Keeping the process alive across :meth:`MultiprocessExecutor.run`
-    calls amortizes worker startup — fork/spawn, interpreter bring-up,
-    and (under ``fork``) the copy-on-write faulting of the parent's
-    heap — across every campaign an executor instance runs.  Each task
-    is one shard; ``shard_done`` answers it so the parent can await a
-    run without confusing it with the next one.
-    """
-    while True:
-        message = tasks.get()
-        if message[0] == "stop":
-            break
-        _, payload, board_indices = message
-        spec_payload, profiles_json, database_payload, kernel_config, \
-            spool_root = payload
-        _run_shard(
-            spec_payload,
-            profiles_json,
-            database_payload,
-            kernel_config,
-            board_indices,
-            spool_root,
-            results,
-        )
-        results.put(("shard_done", worker_index))
+        return
+    queue.put(("shard_done", shard_index))
 
 
 class MultiprocessExecutor:
-    """Boards sharded round-robin across a persistent process pool.
+    """Boards sharded round-robin across one process per shard.
 
-    Workers are forked lazily on the first :meth:`run` and stay alive
-    for follow-up runs (a parameter sweep, the bench's repeat loop, a
-    resumed campaign), so worker startup is paid once per executor
-    instance, not once per campaign.  :meth:`close` (or the context
-    manager, or garbage collection — workers are daemons) retires the
-    pool; a run that aborts also retires it, since the queues may hold
-    stale messages.
+    Each :meth:`run` starts its shard processes and joins them before
+    returning, so no process outlives the run that needed it.
     """
 
     name = "multiprocess"
 
-    def __init__(
-        self,
-        processes: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, processes: int | None = None) -> None:
         self._processes = processes
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._start_method = start_method
-        self._context = multiprocessing.get_context(self._start_method)
-        self._workers: list[multiprocessing.Process] = []
-        self._task_queues: list[multiprocessing.Queue] = []
-        self._results: multiprocessing.Queue | None = None
-
-    def _ensure_workers(self, count: int) -> None:
-        """Grow the pool to at least *count* live workers."""
-        self._workers = [w for w in self._workers if w.is_alive()]
-        if len(self._workers) != len(self._task_queues):
-            # A worker died outside a run; rebuild from scratch.
-            self._shutdown(terminate=True)
-        if self._results is None:
-            self._results = self._context.Queue()
-        while len(self._workers) < count:
-            tasks: multiprocessing.Queue = self._context.Queue()
-            worker = self._context.Process(
-                target=_worker_main,
-                args=(len(self._workers), tasks, self._results),
-                daemon=True,
-            )
-            worker.start()
-            self._workers.append(worker)
-            self._task_queues.append(tasks)
-
-    def _shutdown(self, terminate: bool) -> None:
-        """Retire the pool — politely or by force."""
-        if not terminate:
-            for tasks in self._task_queues:
-                tasks.put(("stop",))
-        for worker in self._workers:
-            if terminate and worker.is_alive():
-                worker.terminate()
-            worker.join(timeout=10)
-        for tasks in self._task_queues:
-            tasks.close()
-        if self._results is not None:
-            self._results.close()
-        self._workers = []
-        self._task_queues = []
-        self._results = None
-
-    def close(self) -> None:
-        """Stop the worker pool.  Idempotent; the executor may be
-        reused afterwards (a new pool forks on the next run)."""
-        self._shutdown(terminate=False)
-
-    def __enter__(self) -> "MultiprocessExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            if self._workers:
-                self._shutdown(terminate=True)
-        except Exception:  # pragma: no cover — interpreter teardown
-            pass
 
     def run(
         self,
@@ -374,16 +261,15 @@ class MultiprocessExecutor:
         on_wave: WaveSink,
         on_board_complete: BoardSink,
     ) -> None:
-        """Shard the boards over worker processes and drain the queue.
+        """Shard the boards over child processes and drain their queue.
 
-        The parent provisions nothing: workers rebuild the schedule,
-        the profile notebook, and the signature database from the
-        values shipped to them, boot only their own boards, and write
-        dumps straight into the shared spool (content-addressed writes
-        are concurrency-safe).  Sinks run on the parent thread in
-        queue-arrival order; a sink raising aborts the run and
-        terminates the workers — exactly the crash the checkpoint
-        journal is designed to survive.
+        The parent provisions nothing: each shard rebuilds the
+        schedule, boots only its own boards, and writes dumps straight
+        into the shared spool (content-addressed writes are
+        concurrency-safe).  Sinks run on the parent thread in
+        queue-arrival order; a sink raising, or a shard failing,
+        aborts the run and terminates the shards — exactly the crash
+        the checkpoint journal is designed to survive.
         """
         if teardown_hook is not None:
             raise ValueError("teardown_hook requires the in-process executor")
@@ -396,54 +282,56 @@ class MultiprocessExecutor:
         shard_count = min(
             self._processes or os.cpu_count() or 1, len(populated)
         )
-        shards = [populated[offset::shard_count] for offset in range(shard_count)]
-        self._ensure_workers(shard_count)
-        results = self._results
-        assert results is not None
-        payload = (
-            spec_to_dict(spec),
-            profiles.to_json(),
-            database.to_payload(),
-            kernel_config,
-            str(spool.root) if spool is not None else None,
-        )
-        for shard_index, shard in enumerate(shards):
-            self._task_queues[shard_index].put(
-                ("run", payload, tuple(shard))
+        results = _CONTEXT.Queue()
+        spool_root = str(spool.root) if spool is not None else None
+        shards = [
+            _CONTEXT.Process(
+                target=_run_shard,
+                args=(
+                    spec,
+                    tuple(populated[shard_index::shard_count]),
+                    profiles,
+                    database,
+                    kernel_config,
+                    spool_root,
+                    results,
+                    shard_index,
+                ),
+                daemon=True,
             )
+            for shard_index in range(shard_count)
+        ]
+        for shard in shards:
+            shard.start()
         done_shards: set[int] = set()
         completed = False
         try:
-            while len(done_shards) < len(shards):
-                # Poll in short slices so a worker that died without a
+            while len(done_shards) < shard_count:
+                # Poll in short slices so a shard that died without a
                 # word (OOM kill, spawn bootstrap failure) is detected
                 # promptly.  A slow-but-alive fleet is never timed
-                # out — only a dead worker with an unfinished shard
-                # aborts the run.
+                # out, and a shard that exited cleanly has already
+                # flushed its last messages into the queue's pipe.
                 try:
                     message = results.get(timeout=_QUEUE_POLL_SECONDS)
                 except queue_module.Empty:
                     dead = [
                         shard_index
-                        for shard_index in range(len(shards))
+                        for shard_index, shard in enumerate(shards)
                         if shard_index not in done_shards
-                        and not self._workers[shard_index].is_alive()
+                        and shard.exitcode not in (None, 0)
                     ]
                     if dead:
                         raise CampaignExecutionError(
-                            f"board-shard worker(s) {dead} exited "
+                            f"board-shard process(es) {dead} exited "
                             f"without reporting completion (killed "
                             f"before or outside the shard loop)"
                         ) from None
                     continue
                 kind = message[0]
                 if kind == "wave":
-                    _, board, wave, records = message
-                    on_wave(
-                        board,
-                        wave,
-                        [VictimOutcome(**record) for record in records],
-                    )
+                    _, board, wave, outcomes = message
+                    on_wave(board, wave, outcomes)
                 elif kind == "board_complete":
                     on_board_complete(message[1])
                 elif kind == "error":
@@ -455,11 +343,11 @@ class MultiprocessExecutor:
                     done_shards.add(message[1])
             completed = True
         finally:
-            if not completed:
-                # An aborted run leaves in-flight messages (and maybe
-                # wedged workers) behind; retire the pool so the next
-                # run starts from a clean fork.
-                self._shutdown(terminate=True)
+            for shard in shards:
+                if not completed:
+                    shard.terminate()
+                shard.join()
+            results.close()
 
 
 class AnalysisPool:

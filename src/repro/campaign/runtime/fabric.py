@@ -90,7 +90,6 @@ from repro.campaign.report import CampaignReport, OutcomeAccumulator
 from repro.campaign.runtime.checkpoint import (
     RunDirectory,
     canonical_outcome,
-    manifest_records,
 )
 from repro.campaign.runtime.spool import DumpSpool
 from repro.campaign.schedule import (
@@ -686,20 +685,15 @@ class FabricCoordinator:
         """Rebuild the canonical report from the journal and persist it.
 
         The journal is the single source of truth: completed boards'
-        outcomes, deduplicated by ``job_id``, sorted, wall clock
-        zeroed — the identical construction the single-host resume
-        path uses, which is what makes the fabric's report
-        byte-identical to :class:`CampaignRuntime`'s.
+        outcomes, deduplicated by ``job_id``, go through the same
+        :meth:`RunDirectory.write_report` as :class:`CampaignRuntime`,
+        which is what makes the fabric's report byte-identical to a
+        single-host run's.
         """
         journal = self._run_dir.load_journal()
-        outcomes = sorted(
-            journal.reusable_outcomes(), key=lambda o: o.job_id
+        report = self._run_dir.write_report(
+            self._spec, journal.reusable_outcomes()
         )
-        report = CampaignReport(
-            spec=self._spec, outcomes=outcomes, wall_seconds=0.0
-        )
-        self._run_dir.write_report(report)
-        self._spool.write_manifest(manifest_records(outcomes))
         leases = self._table.snapshot()
         self._run_dir.write_telemetry(
             {
@@ -1047,11 +1041,10 @@ class FabricWorker:
 
     ``run()`` connects, learns the campaign from ``hello`` (spec,
     offline prep, defense profile name — everything a board simulation
-    needs travels by value, the same contract the multiprocess
-    executor uses), then loops: claim a board, play its waves through
-    a local :class:`BoardWorker`, upload each wave's dumps *before*
-    the wave itself, and mark the board complete.  Outcomes are
-    canonicalized before they leave the worker.
+    needs travels by value), then loops: claim a board, play its waves
+    through a local :class:`BoardWorker`, upload each wave's dumps
+    *before* the wave itself, and mark the board complete.  Outcomes
+    are canonicalized before they leave the worker.
 
     Fault-injection knobs, mirroring ``interrupt_after`` on the local
     runtime: *die_after_waves* kills the worker (stops everything,

@@ -49,7 +49,6 @@ from repro.campaign.runtime.checkpoint import (
     JournalState,
     RunDirectory,
     canonical_outcome,
-    manifest_records,
 )
 from repro.campaign.runtime.executors import resolve_executor
 from repro.campaign.schedule import CampaignSpec
@@ -217,10 +216,7 @@ class CampaignRuntime:
             )
             raise
 
-        outcomes = sorted(reused + fresh, key=lambda o: o.job_id)
-        report = CampaignReport(spec=spec, outcomes=outcomes, wall_seconds=0.0)
-        self._run_dir.write_report(report)
-        self._write_manifest(outcomes)
+        report = self._run_dir.write_report(spec, reused + fresh)
         self._write_telemetry(
             started,
             executor.name,
@@ -232,9 +228,6 @@ class CampaignRuntime:
         return report
 
     # -- internals -----------------------------------------------------------
-
-    def _write_manifest(self, outcomes: list[VictimOutcome]) -> None:
-        self._run_dir.spool.write_manifest(manifest_records(outcomes))
 
     def _write_telemetry(
         self,

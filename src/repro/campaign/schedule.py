@@ -58,8 +58,6 @@ class CampaignSpec:
     input_hw: int = 32
     corruption_fraction: float = 0.2
     board_names: tuple[str, ...] = ("ZCU104", "ZCU102")
-    max_workers: int | None = None
-    """Worker threads over the fleet; ``None`` = one per board."""
     coalesce_reads: bool = True
     """Campaigns default to the batched extraction hot path."""
 
@@ -137,8 +135,14 @@ def spec_to_dict(spec: CampaignSpec) -> dict:
 
 
 def spec_from_dict(payload: dict) -> CampaignSpec:
-    """Rebuild a spec from :func:`spec_to_dict` output (or its JSON)."""
+    """Rebuild a spec from :func:`spec_to_dict` output (or its JSON).
+
+    A ``max_workers`` key, written by older specs when the thread
+    count was still a spec field, is dropped: placement never shaped
+    the outcomes, so those reports and run directories load as-is.
+    """
     fields = dict(payload)
+    fields.pop("max_workers", None)
     for key in ("model_mix", "board_names"):
         fields[key] = tuple(fields[key])
     return CampaignSpec(**fields)

@@ -250,7 +250,6 @@ def _spec_from_args(args: argparse.Namespace):
         seed=args.seed,
         input_hw=args.input_hw,
         board_names=tuple(args.board_mix.split(",")),
-        max_workers=args.workers,
         coalesce_reads=not args.word_reads,
     )
 
@@ -926,12 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, default=0, help="scheduler seed (default: 0)"
         )
         parser.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker threads (default: one per board)",
-        )
-        parser.add_argument(
             "--word-reads",
             action="store_true",
             help="scrape word-at-a-time like the paper (default: coalesced)",
@@ -951,14 +944,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="auto",
         choices=("auto", "inprocess", "multiprocess"),
-        help="board placement: threads, a multiprocessing pool, or auto "
-        "(processes for fleets of 8+ boards)",
+        help="board placement: threads, one process per board shard, or "
+        "auto (processes for fleets of 8+ boards)",
     )
     campaign_run.add_argument(
         "--processes",
         type=int,
         default=None,
-        help="worker processes for the multiprocess executor "
+        help="shard processes for the multiprocess executor "
         "(default: one per CPU)",
     )
     campaign_run.add_argument(

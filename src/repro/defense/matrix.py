@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from repro.campaign.schedule import CampaignSpec
+from repro.campaign.schedule import CampaignSpec, spec_from_dict
 from repro.evaluation.metrics import leakage_reduction
 
 _NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
@@ -243,11 +243,8 @@ class DefenseMatrix:
     def from_json(cls, text: str) -> "DefenseMatrix":
         """Rebuild a matrix from :meth:`to_json` output."""
         payload = json.loads(text)
-        spec_fields = dict(payload["spec"])
-        for key in ("model_mix", "board_names"):
-            spec_fields[key] = tuple(spec_fields[key])
         return cls(
-            spec=CampaignSpec(**spec_fields),
+            spec=spec_from_dict(payload["spec"]),
             scrape_delay_ticks=payload["scrape_delay_ticks"],
             rows=[
                 DefenseRow(

@@ -58,9 +58,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.attack.carving import DumpCartographer, Region, RegionKind
-from repro.attack.identify import SignatureDatabase
-from repro.attack.profiling import ProfileStore
-from repro.campaign.engine import prepare_offline, run_campaign
+from repro.campaign.engine import prepare_offline_cached, run_campaign
 from repro.campaign.report import CampaignReport
 from repro.campaign.runtime.fabric import (
     FabricCoordinator,
@@ -102,17 +100,6 @@ from repro.fuzzlab.scenario import (
 MAX_ANALYZED_DUMPS = 3
 """Spool objects the analysis oracles read back per scenario (the
 reference implementations are deliberate per-byte loops)."""
-
-_PREP_CACHE: dict[tuple, tuple[ProfileStore, SignatureDatabase]] = {}
-
-
-def _prepared(spec) -> tuple[ProfileStore, SignatureDatabase]:
-    """Offline prep, cached by what it is a pure function of."""
-    key = (tuple(sorted(set(spec.model_mix))), spec.input_hw)
-    if key not in _PREP_CACHE:
-        _PREP_CACHE[key] = prepare_offline(spec)
-    return _PREP_CACHE[key]
-
 
 def strengthen(profile: DefenseConfig) -> tuple[DefenseConfig, str]:
     """A strictly-no-weaker profile plus the axis that was tightened.
@@ -166,8 +153,9 @@ def evaluate_world(
     """Run *scenario* once, in process, and measure what leaked.
 
     The fitness-evaluation hook the explorer drives: reuses the
-    fuzzlab's offline-prep cache (:func:`_prepared`) and the defense
-    arena's :class:`ScrapeDelayHook`, but skips everything
+    engine's offline-prep cache
+    (:func:`~repro.campaign.engine.prepare_offline_cached`) and the
+    defense arena's :class:`ScrapeDelayHook`, but skips everything
     :func:`build_world` builds for the oracles — no crash/resume
     drill, no fabric, no spool re-reads.  *defense* overrides the
     scenario's named profile with an explicit
@@ -175,7 +163,7 @@ def evaluate_world(
     sweep walks configs that have no registry name).
     """
     spec = scenario.to_spec()
-    profiles, database = _prepared(spec)
+    profiles, database = prepare_offline_cached(spec)
     profile = (
         defense
         if defense is not None
@@ -361,7 +349,7 @@ def build_world(scenario: Scenario, workdir: str | Path) -> ScenarioWorld:
     """Run *scenario* end to end and collect the oracle artifacts."""
     workdir = Path(workdir)
     spec = scenario.to_spec()
-    profiles, database = _prepared(spec)
+    profiles, database = prepare_offline_cached(spec)
     profile = defense_profile(scenario.defense_profile)
     kernel_config = profile.kernel_config(spec)
     prep = (profiles, database)

@@ -22,11 +22,14 @@ import pytest
 
 from repro.attack.extraction import ScrapedDump
 from repro.campaign import (
+    CampaignReport,
     CampaignRuntime,
     CampaignSpec,
     DumpSpool,
     RunDirectory,
     run_campaign,
+    spec_from_dict,
+    spec_to_dict,
 )
 from repro.campaign.runtime import (
     InProcessExecutor,
@@ -186,6 +189,31 @@ class TestRunDirectory:
         assert state.complete_boards == {1}
         assert [o.job_id for o in state.reusable_outcomes()] == [4]
 
+    def test_specs_with_a_thread_count_still_load(self, tmp_path):
+        """Reports, defense matrices, run directories and fabric
+        ``hello`` payloads from before the thread count left the spec
+        carry ``max_workers``; every loader goes through
+        ``spec_from_dict``, which drops it."""
+        from repro.defense.matrix import DefenseMatrix
+
+        legacy = {**spec_to_dict(SPEC), "max_workers": 1}
+        assert spec_from_dict(legacy) == SPEC
+        assert "max_workers" not in spec_to_dict(SPEC)
+
+        for artifact in (
+            CampaignReport(spec=SPEC, outcomes=[], wall_seconds=0.0),
+            DefenseMatrix(spec=SPEC, scrape_delay_ticks=0, rows=[]),
+        ):
+            payload = json.loads(artifact.to_json())
+            payload["spec"] = legacy
+            assert type(artifact).from_json(json.dumps(payload)).spec == SPEC
+
+        run = RunDirectory.create(tmp_path / "run", SPEC)
+        stored = json.loads(run.spec_path.read_text())
+        stored["spec"] = legacy
+        run.spec_path.write_text(json.dumps(stored))
+        assert RunDirectory.open(run.root).load_spec() == SPEC
+
     def test_canonical_outcome_zeroes_only_wall_clock(self):
         noisy = self._outcome(0)
         noisy = type(noisy)(
@@ -297,12 +325,13 @@ class TestExecutorEquivalence:
             resolve_executor(SPEC, "distributed")
 
     def test_custom_database_ships_to_multiprocess_workers(self):
-        """A hand-tuned database travels by value and changes nothing.
+        """A hand-tuned database reaches the shards and changes nothing.
 
         Workers used to re-mine their own database from the shipped
-        profiles (so a custom one was refused); now the mined token
-        payload ships with the spec, and both executors must score
-        against the *same* database — custom or not.
+        profiles (so a custom one was refused); now each shard gets the
+        caller's database object (inherited by fork, or unpickled), and
+        both executors must score against the *same* database — custom
+        or not.
         """
         from repro.attack.identify import SignatureDatabase
         from repro.campaign import prepare_offline
@@ -324,7 +353,7 @@ class TestExecutorEquivalence:
     def test_auto_with_custom_database_goes_multiprocess(self):
         """The documented prep-reuse pattern keeps working at any fleet
         size: 'auto' no longer needs an in-process fallback for a
-        custom database, because the database ships by value."""
+        custom database, because the shards get the caller's object."""
         from repro.campaign import prepare_offline
         from repro.campaign.runtime.executors import (
             MULTIPROCESS_AUTO_BOARDS,
@@ -343,7 +372,7 @@ class TestExecutorEquivalence:
         assert report.victims == spec.victims
 
     def test_silently_dying_workers_fail_fast(self, monkeypatch):
-        """A worker killed before its shard loop must not hang the run."""
+        """A shard killed before its loop must not hang the run."""
         import os as os_module
 
         from repro.campaign.runtime import executors
@@ -351,7 +380,7 @@ class TestExecutorEquivalence:
 
         monkeypatch.setattr(
             executors,
-            "_worker_main",
+            "_run_shard",
             lambda *args: os_module._exit(1),
         )
         with pytest.raises(CampaignExecutionError, match="without"):
@@ -440,22 +469,29 @@ class TestCheckpointResume:
         """An interrupted resume re-journals a board's waves; the next
         resume must keep each job once, not once per attempt.
 
-        Sequential boards (max_workers=1) make the choreography exact:
+        Sequential boards (one thread) make the choreography exact:
         attempt 1 leaves board 0 partially journaled (wave 0 only);
         attempt 2 re-journals board 0 fully — its wave-0 outcomes now
         appear twice — and crashes on board 1; attempt 3 reuses
         board 0 straight from the journal.
         """
-        spec = CampaignSpec(boards=3, victims=9, seed=5, max_workers=1)
-        full = CampaignRuntime(spec, tmp_path / "full").run()
+        spec = CampaignSpec(boards=3, victims=9, seed=5)
+        sequential = InProcessExecutor(max_workers=1)
+        full = CampaignRuntime(
+            spec, tmp_path / "full", executor=sequential
+        ).run()
         crash_dir = tmp_path / "crashed"
         with pytest.raises(CampaignInterrupted):
-            CampaignRuntime(spec, crash_dir, interrupt_after=1).run()
+            CampaignRuntime(
+                spec, crash_dir, executor=sequential, interrupt_after=1
+            ).run()
         with pytest.raises(CampaignInterrupted):
-            CampaignRuntime.resume(crash_dir, interrupt_after=4).run()
+            CampaignRuntime.resume(
+                crash_dir, executor=sequential, interrupt_after=4
+            ).run()
         journal = RunDirectory.open(crash_dir).load_journal()
         assert 0 in journal.complete_boards  # the scenario is armed
-        resumed = CampaignRuntime.resume(crash_dir).run()
+        resumed = CampaignRuntime.resume(crash_dir, executor=sequential).run()
         assert resumed.victims == spec.victims
         assert resumed.to_json() == full.to_json()
 

@@ -16,12 +16,16 @@ The acceptance claims, pinned:
 - pooled (coalesced + :class:`~repro.utils.buffers.BufferPool`) and
   unpooled extraction scrape byte-identical dumps, and a released
   pooled dump can never be read again;
-- the multiprocess executor's worker pool persists across runs — the
-  amortization the campaign benchmark's small-fleet speedup rests on.
+- the multiprocess executor's shard processes live for one run only:
+  none outlives a completed or interrupted run, and a shard that
+  exited cleanly is never mistaken for a dead one.
 """
 
 import gc
+import multiprocessing
 import os
+import queue as queue_module
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,13 +41,13 @@ from repro.attack.carving import (
 from repro.attack.config import AttackConfig
 from repro.attack.extraction import MemoryScraper, ScrapedDump
 from repro.attack.identify import ModelSignature, SignatureDatabase
-from repro.campaign import CampaignSpec, DumpSpool, prepare_offline
-from repro.campaign.runtime import (
-    MappedDump,
-    MultiprocessExecutor,
-    canonical_outcome,
+from repro.campaign import CampaignRuntime, CampaignSpec, DumpSpool
+from repro.campaign.runtime import MappedDump, executors
+from repro.errors import (
+    CampaignInterrupted,
+    ExtractionError,
+    SpoolClosedError,
 )
-from repro.errors import ExtractionError, SpoolClosedError
 from repro.mmu.paging import PAGE_SIZE
 from repro.utils.buffers import BufferPool
 
@@ -371,42 +375,91 @@ class TestBufferPool:
             BufferPool().acquire(-1)
 
 
-class TestPersistentWorkerPool:
-    """The multiprocess executor keeps its workers across runs."""
+class _FirstPollFindsNothing:
+    """A results queue whose first poll times out only once every shard
+    process has exited, with all of their messages still unread."""
 
-    def _run(self, executor, spec, profiles, database, spool):
-        outcomes = []
-        executor.run(
-            spec,
-            range(spec.boards),
-            profiles,
-            database,
-            spool=spool,
-            on_wave=lambda board, wave, batch: outcomes.extend(batch),
-            on_board_complete=lambda board: None,
+    def __init__(self, results) -> None:
+        self._results = results
+        self._stalled = False
+
+    def put(self, message) -> None:
+        self._results.put(message)
+
+    def get(self, timeout: float):
+        if not self._stalled:
+            self._stalled = True
+            deadline = time.monotonic() + 60
+            while multiprocessing.active_children():
+                assert time.monotonic() < deadline, "shards never exited"
+                time.sleep(0.01)
+            raise queue_module.Empty
+        return self._results.get(timeout=timeout)
+
+    def close(self) -> None:
+        self._results.close()
+
+
+class TestForkPerRun:
+    """A multiprocess run starts its shard processes and reaps them."""
+
+    SPEC = CampaignSpec(boards=3, victims=6, seed=5)
+    """Three boards on two processes: one shard finishes a whole board
+    before the other, so the parent polls past a cleanly exited shard."""
+
+    def _report(self, run_dir, **kwargs) -> bytes:
+        CampaignRuntime(self.SPEC, run_dir, **kwargs).run()
+        return (run_dir / "report.json").read_bytes()
+
+    def _threads_and_processes(self, tmp_path) -> tuple[bytes, bytes]:
+        threads = self._report(tmp_path / "threads", executor="inprocess")
+        processes = self._report(
+            tmp_path / "processes", executor="multiprocess", processes=2
         )
-        return sorted(outcomes, key=lambda outcome: outcome.job_id)
+        return threads, processes
 
-    def test_workers_survive_across_runs_and_close_stops_them(
-        self, tmp_path
+    def test_no_child_outlives_a_completed_run(self, tmp_path):
+        self._report(tmp_path / "run", executor="multiprocess", processes=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_an_interrupted_run(self, tmp_path):
+        with pytest.raises(CampaignInterrupted):
+            self._report(
+                tmp_path / "run",
+                executor="multiprocess",
+                processes=2,
+                interrupt_after=1,
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_clean_exits_are_never_reported_dead(
+        self, tmp_path, monkeypatch
     ):
-        spec = CampaignSpec(boards=2, victims=4, seed=5)
-        profiles, database = prepare_offline(spec)
-        with MultiprocessExecutor(processes=2) as executor:
-            first = self._run(
-                executor, spec, profiles, database,
-                DumpSpool(tmp_path / "first"),
-            )
-            workers = list(executor._workers)
-            pids = sorted(worker.pid for worker in workers)
-            second = self._run(
-                executor, spec, profiles, database,
-                DumpSpool(tmp_path / "second"),
-            )
-            # Same worker processes served both runs — no re-fork.
-            assert sorted(w.pid for w in executor._workers) == pids
-            assert [canonical_outcome(o) for o in first] == [
-                canonical_outcome(o) for o in second
-            ]
-        assert executor._workers == []
-        assert not any(worker.is_alive() for worker in workers)
+        monkeypatch.setattr(executors, "_QUEUE_POLL_SECONDS", 0.001)
+        threads, processes = self._threads_and_processes(tmp_path)
+        assert processes == threads
+
+    def test_exited_shards_messages_are_still_drained(
+        self, tmp_path, monkeypatch
+    ):
+        """Exit code 0 means the last messages are already in the pipe."""
+        context = executors._CONTEXT
+
+        class StallingContext:
+            Process = context.Process
+
+            @staticmethod
+            def Queue():
+                return _FirstPollFindsNothing(context.Queue())
+
+        monkeypatch.setattr(executors, "_CONTEXT", StallingContext)
+        threads, processes = self._threads_and_processes(tmp_path)
+        assert processes == threads
+
+    def test_spawned_shards_unpickle_the_prep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            executors, "_CONTEXT", multiprocessing.get_context("spawn")
+        )
+        threads, processes = self._threads_and_processes(tmp_path)
+        assert processes == threads
+        assert multiprocessing.active_children() == []
