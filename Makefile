@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-json docs-check cli-docs coverage fuzz-smoke fabric-smoke serve-smoke explore-smoke
+.PHONY: test test-fast bench bench-json docs-check cli-docs coverage fuzz-smoke fabric-smoke serve-smoke explore-smoke examples
 
 # Run the docs gate AND the test suite even when the first fails, then
 # report both statuses — a docs slip must never mask a test failure
@@ -78,6 +78,14 @@ explore-smoke:
 	$(PYTHON) -m repro explore defenses --boards 1 --victims 2 \
 		--models resnet50_pt --input-hw 16 --scrub-rates 16,64 \
 		-o explore-artifacts/defense-frontier.json
+
+# Every walkthrough under examples/ runs to the end; the target fails
+# if any of them exits non-zero, and names each one that did.
+examples:
+	@status=0; for example in examples/*.py; do \
+		echo "== $$example"; \
+		$(PYTHON) $$example || { echo "FAILED: $$example"; status=1; }; \
+	done; exit $$status
 
 # The analysis daemon as a real OS process: `repro serve analysis` on
 # an ephemeral port, two concurrent clients (duplicate upload dedup,

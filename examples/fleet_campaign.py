@@ -44,10 +44,10 @@ def main() -> None:
     print(report.render())
     print()
 
-    slowest = max(report.outcomes, key=lambda outcome: outcome.wall_seconds)
+    largest = max(report.outcomes, key=lambda outcome: outcome.nbytes)
     print(
-        f"slowest victim: job {slowest.job_id} ({slowest.model_name}) "
-        f"at {slowest.wall_seconds * 1000:.0f} ms"
+        f"largest dump: job {largest.job_id} ({largest.model_name}) "
+        f"at {largest.nbytes / 1024:.0f} KiB"
     )
     assert report.success_rate == 1.0, "fleet campaign should leak everywhere"
 

@@ -12,7 +12,7 @@ at cloud scale.  This package provides that scale for the simulation:
 - :mod:`repro.campaign.worker` — the per-board wave choreography:
   launch co-residents, harvest while alive, terminate, scrape;
 - :mod:`repro.campaign.report` — :class:`CampaignReport` aggregation
-  (per-model / per-board breakdowns, fleet throughput, the streaming
+  (per-model / per-board breakdowns, the streaming
   :class:`OutcomeAccumulator`) and JSON persistence;
 - :mod:`repro.campaign.engine` — :func:`run_campaign`: one offline
   prep, then every board concurrently on a worker pool;

@@ -39,7 +39,6 @@ these same executors under a run directory.
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.attack.identify import SignatureDatabase
 from repro.attack.profiling import ProfileStore
@@ -119,7 +118,6 @@ def run_campaign(
     content-addressed store as soon as it is analyzed, so only wave-
     local dumps are ever resident.
     """
-    started = time.perf_counter()
     if profiles is None:
         prepped_profiles, prepped_database = prepare_offline(spec)
         profiles = prepped_profiles
@@ -150,8 +148,4 @@ def run_campaign(
         on_board_complete=lambda board: None,
     )
     outcomes.sort(key=lambda outcome: outcome.job_id)
-    return CampaignReport(
-        spec=spec,
-        outcomes=outcomes,
-        wall_seconds=time.perf_counter() - started,
-    )
+    return CampaignReport(spec=spec, outcomes=outcomes)

@@ -5,7 +5,8 @@
 :class:`~repro.campaign.worker.VictimOutcome`, aggregates them per
 model and per board, and renders one text summary.  Reports serialize
 to JSON (spec included) so ``repro campaign run -o fleet.json`` and a
-later ``repro campaign report fleet.json`` see identical numbers.
+later ``repro campaign report fleet.json`` see identical numbers.  A
+report records nothing of the host that ran it.
 
 Aggregation is incremental: :class:`OutcomeAccumulator` folds outcomes
 in one at a time, which is how the checkpointable runtime keeps fleet
@@ -17,7 +18,7 @@ numbers can never disagree:
 ...     job_id=0, board_index=0, board_name="ZCU104",
 ...     model_name="resnet50_pt", tenant_index=0, launch_wave=0,
 ...     pid=871, identified_model="resnet50_pt", pixel_match_rate=1.0,
-...     nbytes=4096, devmem_reads=1, pages_read=1, wall_seconds=0.0)
+...     nbytes=4096, devmem_reads=1, pages_read=1)
 >>> tally = OutcomeAccumulator()
 >>> tally.add(outcome)
 >>> tally.victims, tally.succeeded
@@ -32,8 +33,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from repro.campaign.schedule import CampaignSpec, spec_from_dict
-from repro.campaign.worker import VictimOutcome
-from repro.evaluation.metrics import ThroughputStats
+from repro.campaign.worker import VictimOutcome, outcome_from_dict
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,6 @@ class CampaignReport:
 
     spec: CampaignSpec
     outcomes: list[VictimOutcome]
-    wall_seconds: float
 
     # -- fleet-level rates ---------------------------------------------------
 
@@ -196,15 +195,6 @@ class CampaignReport:
         """devmem invocations across the whole fleet."""
         return sum(outcome.devmem_reads for outcome in self.outcomes)
 
-    @property
-    def throughput(self) -> ThroughputStats:
-        """Fleet scraping throughput over the campaign's wall time."""
-        return ThroughputStats(
-            nbytes=self.total_bytes,
-            victims=self.victims,
-            wall_seconds=self.wall_seconds,
-        )
-
     # -- breakdowns ----------------------------------------------------------
 
     def per_model(self) -> list[ModelBreakdown]:
@@ -232,7 +222,6 @@ class CampaignReport:
                 f"{self.spec.tenants_per_board} tenants/board, "
                 f"wave size {self.spec.wave_size}, seed {self.spec.seed}"
             ),
-            f"throughput: {self.throughput.describe()}",
             (
                 f"success: {self.success_rate:.1%} overall "
                 f"({self.identification_rate:.1%} models attributed, "
@@ -277,7 +266,6 @@ class CampaignReport:
         return json.dumps(
             {
                 "spec": asdict(self.spec),
-                "wall_seconds": self.wall_seconds,
                 "outcomes": [asdict(outcome) for outcome in self.outcomes],
             },
             indent=2,
@@ -286,12 +274,11 @@ class CampaignReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignReport":
-        """Rebuild a report from :meth:`to_json` output."""
+        """Rebuild a report from :meth:`to_json` output, older ones too."""
         payload = json.loads(text)
         return cls(
             spec=spec_from_dict(payload["spec"]),
             outcomes=[
-                VictimOutcome(**record) for record in payload["outcomes"]
+                outcome_from_dict(record) for record in payload["outcomes"]
             ],
-            wall_seconds=payload["wall_seconds"],
         )

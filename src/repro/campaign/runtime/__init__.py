@@ -19,8 +19,8 @@ service-grade runtime:
   regardless of campaign size.
 - :mod:`~repro.campaign.runtime.checkpoint` — :class:`RunDirectory`:
   the spec, the per-wave outcome journal, telemetry, and the final
-  report, with :func:`canonical_outcome` making journaled results
-  deterministic.
+  report, which holds no host timing and so comes out the same bytes
+  however the run went.
 - :mod:`~repro.campaign.runtime.runner` — :class:`CampaignRuntime`,
   which ties the three together so ``repro campaign run --resume``
   continues an interrupted campaign to a byte-identical report.
@@ -35,11 +35,7 @@ See ``docs/campaigns.md`` for the operator runbook and
 ``docs/distributed.md`` for the fabric protocol and failure drills.
 """
 
-from repro.campaign.runtime.checkpoint import (
-    JournalState,
-    RunDirectory,
-    canonical_outcome,
-)
+from repro.campaign.runtime.checkpoint import JournalState, RunDirectory
 from repro.campaign.runtime.executors import (
     MULTIPROCESS_AUTO_BOARDS,
     CampaignExecutionError,
@@ -79,6 +75,5 @@ __all__ = [
     "MultiprocessExecutor",
     "RunDirectory",
     "SpoolEntry",
-    "canonical_outcome",
     "resolve_executor",
 ]

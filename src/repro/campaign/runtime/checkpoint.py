@@ -16,16 +16,12 @@ wave so a kill at any instant loses at most the wave in flight::
     {"type": "wave", "board": 1, "wave": 0, "outcomes": [...]}
     {"type": "board_complete", "board": 1}
 
-**Canonical outcomes.**  A restartable runtime cannot promise
-wall-clock identity across a crash, so everything it journals is
-*canonicalized* first: :func:`canonical_outcome` zeroes the two
-wall-clock fields (``wall_seconds``, ``teardown_seconds``), which are
-the only nondeterministic bits of a
-:class:`~repro.campaign.worker.VictimOutcome`.  Every other field —
-pids, byte counts, scores, scrub work, dump digests — is a pure
-function of the spec, so an interrupted-and-resumed campaign produces
-a ``report.json`` byte-identical to an uninterrupted one.  Real
-timings are not lost; they land in ``telemetry.json``.
+**Canonical outcomes.**  A :class:`~repro.campaign.worker.VictimOutcome`
+records no host timing: every field — pids, byte counts, scores, scrub
+work, dump digests — is a pure function of the spec, so outcomes are
+journaled as they come and an interrupted-and-resumed campaign
+produces a ``report.json`` byte-identical to an uninterrupted one.
+The run's wall clock lands in ``telemetry.json`` only.
 
 **Resume unit = the board.**  Waves on one board share kernel state
 (scheduler ticks, the frame allocator, pid numbering, DRAM residue),
@@ -41,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -52,14 +48,9 @@ from repro.campaign.schedule import (
     spec_to_dict,
 )
 from repro.campaign.runtime.spool import DumpSpool
-from repro.campaign.worker import VictimOutcome
+from repro.campaign.worker import VictimOutcome, outcome_from_dict
 
 SPEC_FORMAT = 1
-
-
-def canonical_outcome(outcome: VictimOutcome) -> VictimOutcome:
-    """Zero the wall-clock fields — the only nondeterministic ones."""
-    return replace(outcome, wall_seconds=0.0, teardown_seconds=0.0)
 
 
 @dataclass
@@ -187,7 +178,7 @@ class RunDirectory:
     def append_wave(
         self, board: int, wave: int, outcomes: list[VictimOutcome]
     ) -> None:
-        """Journal one completed wave (already canonicalized).
+        """Journal one completed wave.
 
         The line is flushed and fsynced before returning, so a crash
         immediately after a wave never loses it.
@@ -230,9 +221,8 @@ class RunDirectory:
         A truncated trailing line (crash mid-write) is ignored — the
         wave it described is simply re-run.  A job journaled twice
         (an interrupted attempt left partial waves, and the resume
-        re-ran that board from scratch) is kept once: canonical
-        outcomes are deterministic, so the copies are identical and
-        the first wins.
+        re-ran that board from scratch) is kept once: outcomes are
+        deterministic, so the copies are identical and the first wins.
         """
         state = JournalState()
         if not self.journal_path.exists():
@@ -253,7 +243,7 @@ class RunDirectory:
                     if payload["job_id"] in seen_jobs:
                         continue  # re-run of a partially journaled board
                     seen_jobs.add(payload["job_id"])
-                    outcomes.append(VictimOutcome(**payload))
+                    outcomes.append(outcome_from_dict(payload))
                     state.journaled_outcomes += 1
             elif record["type"] == "board_complete":
                 state.complete_boards.add(record["board"])
@@ -335,16 +325,15 @@ class RunDirectory:
     ) -> CampaignReport:
         """Build and persist the canonical report and spool manifest.
 
-        Outcomes are sorted by ``job_id`` and the wall clock is
-        zeroed.  Every completion path — the local
-        :class:`~repro.campaign.runtime.runner.CampaignRuntime` and
-        the distributed fabric coordinator — finishes here, so
+        Outcomes are sorted by ``job_id``.  Every completion path — the
+        local :class:`~repro.campaign.runtime.runner.CampaignRuntime`
+        and the distributed fabric coordinator — finishes here, so
         ``report.json`` and ``spool/manifest.json`` come out the same
         bytes however the campaign ran.  The manifest maps each job
         that produced a dump to its content digest.
         """
         ordered = sorted(outcomes, key=lambda outcome: outcome.job_id)
-        report = CampaignReport(spec=spec, outcomes=ordered, wall_seconds=0.0)
+        report = CampaignReport(spec=spec, outcomes=ordered)
         self.report_path.write_text(report.to_json() + "\n")
         self.spool.write_manifest(
             [

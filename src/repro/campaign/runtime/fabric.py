@@ -7,10 +7,9 @@ spool, report) and exposes the campaign's boards as **leases** over a
 line-delimited JSON/TCP protocol; any number of
 :class:`FabricWorker` processes connect, claim leases, run their
 boards through the ordinary :class:`~repro.campaign.worker.BoardWorker`
-stack, and stream canonicalized
-:class:`~repro.campaign.worker.VictimOutcome` waves back.  Dumps never
-ride inside outcome messages: they travel by content digest
-(``dump_sha256``) with explicit upload/fetch ops against the
+stack, and stream :class:`~repro.campaign.worker.VictimOutcome` waves
+back.  Dumps never ride inside outcome messages: they travel by content
+digest (``dump_sha256``) with explicit upload/fetch ops against the
 coordinator's content-addressed :class:`~repro.campaign.runtime.spool.
 DumpSpool`, which becomes the campaign's shared artifact store.
 
@@ -42,17 +41,16 @@ never corrupt the journal, no matter how late its messages arrive.
 
 **Why the report is byte-identical to a single-host run.**  The
 coordinator journals exactly what :class:`CampaignRuntime` journals:
-canonicalized outcomes (wall-clock fields zeroed), deduplicated by
-``job_id`` against everything already seen, plus ``board_complete``
-markers.  Each board's simulation is a pure function of ``(spec,
-board_index, kernel_config)``, so re-running a reclaimed board on a
-different worker reproduces the identical outcomes, and replayed or
-duplicate messages are no-ops.  The final report is rebuilt from the
-journal — completed boards' outcomes sorted by ``job_id``,
-``wall_seconds=0.0`` — which is the same construction the single-host
-resume path uses.  Worker count, claim order, crashes, re-claims, and
-duplicate deliveries therefore cannot perturb a single byte of
-``report.json``; the chaos suite (``tests/fabric_chaos.py``) pins
+outcomes (which record no host timing), deduplicated by ``job_id``
+against everything already seen, plus ``board_complete`` markers.
+Each board's simulation is a pure function of ``(spec, board_index,
+kernel_config)``, so re-running a reclaimed board on a different worker
+reproduces the identical outcomes, and replayed or duplicate messages
+are no-ops.  The final report is rebuilt from the journal — completed
+boards' outcomes sorted by ``job_id`` — which is the same construction
+the single-host resume path uses.  Worker count, claim order, crashes,
+re-claims, and duplicate deliveries therefore cannot perturb a single
+byte of ``report.json``; the chaos suite (``tests/fabric_chaos.py``) pins
 this under scripted kills, heartbeat loss, duplicate claims, and torn
 streams.
 
@@ -87,10 +85,7 @@ from repro.attack.identify import SignatureDatabase
 from repro.attack.profiling import ProfileStore
 from repro.campaign.fleet import provision_board
 from repro.campaign.report import CampaignReport, OutcomeAccumulator
-from repro.campaign.runtime.checkpoint import (
-    RunDirectory,
-    canonical_outcome,
-)
+from repro.campaign.runtime.checkpoint import RunDirectory
 from repro.campaign.runtime.spool import DumpSpool
 from repro.campaign.schedule import (
     CampaignSpec,
@@ -128,8 +123,9 @@ __all__ = [
 if TYPE_CHECKING:
     from repro.campaign.schedule import VictimJob
 
-FABRIC_FORMAT = 1
-"""Wire-protocol version; ``hello`` refuses mismatched peers."""
+FABRIC_FORMAT = 2
+"""Wire-protocol version; ``hello`` refuses mismatched peers.  Format 2
+outcomes carry no ``wall_seconds``/``teardown_seconds``."""
 
 DEFAULT_LEASE_TTL = 30.0
 """Seconds a lease survives without any authenticated op."""
@@ -580,11 +576,8 @@ class FabricCoordinator:
             return {"board": lease.board}
 
     def _op_wave(self, request: dict) -> dict:
-        records = request["outcomes"]
         wave = int(request["wave"])
-        outcomes = [
-            canonical_outcome(VictimOutcome(**record)) for record in records
-        ]
+        outcomes = [VictimOutcome(**record) for record in request["outcomes"]]
         with self._lock:
             lease = self._table.touch(str(request["lease"]))
             for outcome in outcomes:
@@ -1043,8 +1036,7 @@ class FabricWorker:
     offline prep, defense profile name — everything a board simulation
     needs travels by value), then loops: claim a board, play its waves
     through a local :class:`BoardWorker`, upload each wave's dumps
-    *before* the wave itself, and mark the board complete.  Outcomes
-    are canonicalized before they leave the worker.
+    *before* the wave itself, and mark the board complete.
 
     Fault-injection knobs, mirroring ``interrupt_after`` on the local
     runtime: *die_after_waves* kills the worker (stops everything,
@@ -1277,10 +1269,7 @@ class FabricWorker:
         waves_sent = 0
         for wave, outcomes in worker.iter_waves(jobs):
             self._check_heartbeat(token)
-            canonical = [
-                canonical_outcome(outcome) for outcome in outcomes
-            ]
-            self._ship_dumps(client, spool, canonical, stats)
+            self._ship_dumps(client, spool, outcomes, stats)
             if (
                 self._die_after_waves is not None
                 and waves_sent >= self._die_after_waves
@@ -1289,16 +1278,16 @@ class FabricWorker:
                 # its outcomes never ship — the orphaned objects are
                 # harmless (content-addressed, reclaimed on re-run).
                 raise _SimulatedWorkerDeath()
-            self._before_wave_send(client, token, board, wave, canonical)
+            self._before_wave_send(client, token, board, wave, outcomes)
             client.request(
                 "wave",
                 lease=token,
                 wave=wave,
-                outcomes=[asdict(outcome) for outcome in canonical],
+                outcomes=[asdict(outcome) for outcome in outcomes],
             )
             waves_sent += 1
             stats["waves_sent"] += 1
-            stats["outcomes_sent"] += len(canonical)
+            stats["outcomes_sent"] += len(outcomes)
         self._before_board_complete(client, token, board)
         client.request("board_complete", lease=token)
 

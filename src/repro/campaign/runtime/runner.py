@@ -2,11 +2,11 @@
 
 :class:`CampaignRuntime` wraps one campaign in a
 :class:`~repro.campaign.runtime.checkpoint.RunDirectory`: every wave's
-outcomes are canonicalized and journaled the moment they stream out of
-an executor, every dump is spooled to disk before its outcome is
-reported, and a :meth:`~CampaignRuntime.resume` after any interruption
-reuses completed boards from the journal and re-runs the rest —
-producing a ``report.json`` byte-identical to an uninterrupted run's.
+outcomes are journaled the moment they stream out of an executor,
+every dump is spooled to disk before its outcome is reported, and a
+:meth:`~CampaignRuntime.resume` after any interruption reuses
+completed boards from the journal and re-runs the rest — producing a
+``report.json`` byte-identical to an uninterrupted run's.
 
 The determinism chain, end to end:
 
@@ -14,11 +14,9 @@ The determinism chain, end to end:
    (:func:`~repro.campaign.schedule.build_schedule` is seeded);
 2. each board simulation is a pure function of ``(spec, board_index)``
    (:func:`~repro.campaign.fleet.provision_board`);
-3. outcomes are canonicalized before journaling
-   (:func:`~repro.campaign.runtime.checkpoint.canonical_outcome`
-   zeroes the wall-clock fields, the only nondeterministic ones);
-4. the final report sorts outcomes by ``job_id`` and carries
-   ``wall_seconds=0.0`` — real timings go to ``telemetry.json``.
+3. outcomes and reports record no host timing — the run's wall
+   clock goes to ``telemetry.json`` only;
+4. the final report sorts outcomes by ``job_id``.
 
 So the canonical report is invariant across executors (threads vs
 processes), across interruption points, and across resumes — the
@@ -45,11 +43,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.campaign.report import CampaignReport, OutcomeAccumulator
-from repro.campaign.runtime.checkpoint import (
-    JournalState,
-    RunDirectory,
-    canonical_outcome,
-)
+from repro.campaign.runtime.checkpoint import JournalState, RunDirectory
 from repro.campaign.runtime.executors import resolve_executor
 from repro.campaign.schedule import CampaignSpec
 from repro.campaign.worker import VictimOutcome
@@ -174,12 +168,11 @@ class CampaignRuntime:
             board: int, wave: int, outcomes: list[VictimOutcome]
         ) -> None:
             nonlocal journaled, interrupted
-            canonical = [canonical_outcome(outcome) for outcome in outcomes]
             with lock:
-                self._run_dir.append_wave(board, wave, canonical)
-                accumulator.extend(canonical)
-                fresh.extend(canonical)
-                journaled += len(canonical)
+                self._run_dir.append_wave(board, wave, outcomes)
+                accumulator.extend(outcomes)
+                fresh.extend(outcomes)
+                journaled += len(outcomes)
                 if (
                     self._interrupt_after is not None
                     and journaled >= self._interrupt_after

@@ -13,7 +13,7 @@ schedule wave by wave:
 3. **re-harvest** through the attack pipeline right before the wave
    ends — served from the cache, since the snapshot is still valid;
 4. **terminate** the whole wave (the kernel's sanitize policy runs
-   here; its wall cost and sync-scrub work are attributed per victim),
+   here; its sync-scrub work is attributed per victim),
    then fire the optional *teardown hook* — the defense arena's
    injection point for attacker latency, during which the asynchronous
    scrub daemon gets to shrink the window of vulnerability;
@@ -33,7 +33,6 @@ thread without any cross-board locking.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -80,19 +79,12 @@ class VictimOutcome:
     nbytes: int
     devmem_reads: int
     pages_read: int
-    wall_seconds: float
-    """Attack time spent on *this* victim only (steps 1-2 plus 3-4);
-    waiting on the wave's other victims is not attributed here."""
     failed_step: str | None = None
     detail: str = ""
     residue_nbytes: int = 0
     """Nonzero bytes in the scraped dump — the residue that actually
     leaked.  A zero-on-free kernel scrapes the same page count but
     this drops to 0; it is the defense matrix's leakage axis."""
-    teardown_seconds: float = 0.0
-    """Wall time the kernel spent terminating this victim.  Includes
-    the synchronous scrub under ``ZERO_ON_FREE`` — the defense's
-    latency cost at teardown time."""
     frames_scrubbed_sync: int = 0
     """Frames scrubbed synchronously during this victim's teardown."""
     dump_sha256: str | None = None
@@ -119,6 +111,19 @@ class VictimOutcome:
         return self.identified_correctly or self.image_recovered
 
 
+def outcome_from_dict(payload: dict) -> VictimOutcome:
+    """Rebuild an outcome from its ``asdict`` record (or its JSON).
+
+    The ``wall_seconds`` and ``teardown_seconds`` keys of older journals
+    and reports, from when outcomes timed the host, are dropped so those
+    load as-is; any other unknown key still raises ``TypeError``.
+    """
+    fields = dict(payload)
+    fields.pop("wall_seconds", None)
+    fields.pop("teardown_seconds", None)
+    return VictimOutcome(**fields)
+
+
 @dataclass
 class _WaveAttack:
     """Bookkeeping for one victim between harvest and analysis."""
@@ -128,8 +133,6 @@ class _WaveAttack:
     secret: Image
     attack: MemoryScrapingAttack
     pid: int = -1
-    elapsed: float = 0.0
-    teardown_seconds: float = 0.0
     frames_scrubbed_sync: int = 0
 
 
@@ -219,12 +222,11 @@ class BoardWorker:
             )
 
         # Failed entries are recorded *after* the wave terminates, so
-        # their outcomes still carry real teardown cost (a victim that
+        # their outcomes still carry real scrub work (a victim that
         # dodged observation is torn down — and scrubbed — all the same).
         failed: list[tuple[_WaveAttack, str, Exception]] = []
         claimed: list[_WaveAttack] = []
         for entry in in_flight:
-            started = time.perf_counter()
             try:
                 sighting = entry.attack.observe_victim(
                     entry.job.model_name,
@@ -236,31 +238,24 @@ class BoardWorker:
                 # board cache keeps them for the pipeline's step 2.
                 self._harvester.harvest(sighting.pid)
             except (AttackError, PermissionDeniedError) as error:
-                entry.elapsed += time.perf_counter() - started
                 failed.append((entry, "step 1-2 (observe/harvest)", error))
                 continue
-            entry.elapsed += time.perf_counter() - started
             claimed.append(entry)
 
         live: list[_WaveAttack] = []
         for entry in claimed:
-            started = time.perf_counter()
             try:
                 entry.attack.harvest_addresses()
             except (AttackError, PermissionDeniedError) as error:
-                entry.elapsed += time.perf_counter() - started
                 failed.append((entry, "step 1-2 (observe/harvest)", error))
                 continue
-            entry.elapsed += time.perf_counter() - started
             live.append(entry)
 
         sanitizer = session.kernel.sanitizer
         for entry in in_flight:
             if entry.run.alive:
                 scrubbed_before = sanitizer.stats.frames_scrubbed_sync
-                started = time.perf_counter()
                 entry.run.terminate()
-                entry.teardown_seconds = time.perf_counter() - started
                 entry.frames_scrubbed_sync = (
                     sanitizer.stats.frames_scrubbed_sync - scrubbed_before
                 )
@@ -275,11 +270,9 @@ class BoardWorker:
         return outcomes
 
     def _extract_and_analyze(self, entry: _WaveAttack) -> VictimOutcome:
-        started = time.perf_counter()
         try:
             dump = entry.attack.extract()
         except (AttackError, PermissionDeniedError) as error:
-            entry.elapsed += time.perf_counter() - started
             return self._failed(entry, "step 3 (extract)", error)
         identification = None
         fidelity = None
@@ -297,7 +290,6 @@ class BoardWorker:
                 fidelity = image_fidelity(
                     report.reconstruction.image, entry.secret
                 )
-        entry.elapsed += time.perf_counter() - started
         # Spool handoff: the dump's bytes go to the content-addressed
         # store now, so the outcome (a few scalars) is all that stays
         # resident once this wave ends.
@@ -328,10 +320,8 @@ class BoardWorker:
             nbytes=nbytes,
             devmem_reads=dump.devmem_reads,
             pages_read=dump.pages_read,
-            wall_seconds=entry.elapsed,
             detail=detail,
             residue_nbytes=residue_nbytes,
-            teardown_seconds=entry.teardown_seconds,
             frames_scrubbed_sync=entry.frames_scrubbed_sync,
             dump_sha256=dump_sha256,
         )
@@ -352,9 +342,7 @@ class BoardWorker:
             nbytes=0,
             devmem_reads=0,
             pages_read=0,
-            wall_seconds=entry.elapsed,
             failed_step=step,
             detail=str(error),
-            teardown_seconds=entry.teardown_seconds,
             frames_scrubbed_sync=entry.frames_scrubbed_sync,
         )

@@ -59,9 +59,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Sequence
 
 from repro.evaluation.figures import generate_all_figures, render_figure_report
+from repro.evaluation.metrics import ThroughputStats
 from repro.evaluation.scenarios import BoardSession, run_paper_attack
 from repro.hw.board import BOARDS, board_by_name
 
@@ -221,9 +223,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return status if status is not None else 0
 
 
-def _emit_campaign_report(report, output: str | None, extra: list[str]) -> int:
-    """Render a campaign report, honor ``-o``, map failures to exit 1."""
+def _emit_campaign_report(
+    report, output: str | None, extra: list[str], seconds: float, reused=()
+) -> int:
+    """Render a campaign report, honor ``-o``, map failures to exit 1.
+
+    The throughput line is the command's own timing: *seconds* over
+    the victims it attacked, all but the *reused* jobs of a resume.
+    """
+    fresh = [o for o in report.outcomes if o.job_id not in reused]
+    nbytes = sum(o.nbytes for o in fresh)
+    throughput = ThroughputStats(nbytes, len(fresh), seconds)
     print(report.render())
+    print(f"throughput: {throughput.describe()}")
     for line in extra:
         print(line)
     if output is not None:
@@ -231,6 +243,11 @@ def _emit_campaign_report(report, output: str | None, extra: list[str]) -> int:
         if status is not None:
             return status
     return 0 if not report.failures() else 1
+
+
+def _reused_jobs(run_dir) -> set[int]:
+    """Job ids a run in *run_dir* takes from its journal unattacked."""
+    return {o.job_id for o in run_dir.load_journal().reusable_outcomes()}
 
 
 def _spec_from_args(args: argparse.Namespace):
@@ -293,10 +310,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         except ValueError as error:
             return _usage_error(error)
         if args.run_dir is None:
+            started = time.perf_counter()
             report = run_campaign(
                 spec, executor=args.executor, processes=args.processes
             )
-            return _emit_campaign_report(report, args.output, extra=[])
+            return _emit_campaign_report(
+                report, args.output, [], time.perf_counter() - started
+            )
         try:
             runtime = CampaignRuntime(
                 spec,
@@ -308,6 +328,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(error, file=sys.stderr)
             return 2
+    reused = _reused_jobs(runtime.run_dir)
+    started = time.perf_counter()
     try:
         report = runtime.run()
     except CampaignInterrupted as interruption:
@@ -320,11 +342,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     return _emit_campaign_report(
         report,
         args.output,
-        extra=[
+        [
             f"\nrun directory: {runtime.run_dir.root}",
             f"canonical report: {runtime.run_dir.report_path}",
             f"wall-clock telemetry: {runtime.run_dir.telemetry_path}",
         ],
+        time.perf_counter() - started,
+        reused,
     )
 
 
@@ -379,6 +403,8 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(error, file=sys.stderr)
             return 2
+    reused = _reused_jobs(coordinator.run_dir)
+    started = time.perf_counter()
     host, port = coordinator.serve(args.host, args.port)
     # Workers (and the smoke harness) parse this line for the port.
     print(f"fabric coordinator listening on {host}:{port}", flush=True)
@@ -396,11 +422,13 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
     return _emit_campaign_report(
         report,
         args.output,
-        extra=[
+        [
             f"\nrun directory: {coordinator.run_dir.root}",
             f"canonical report: {coordinator.run_dir.report_path}",
             f"wall-clock telemetry: {coordinator.run_dir.telemetry_path}",
         ],
+        time.perf_counter() - started,
+        reused,
     )
 
 

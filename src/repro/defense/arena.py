@@ -56,9 +56,9 @@ class ScrapeDelayHook:
 
     Called once per wave (per board, possibly from several worker
     threads): runs *delay_ticks* scheduler ticks so the background
-    scrubber gets its window, and keeps the latest per-kernel
-    sanitizer snapshot so the arena can report async scrub work and
-    the backlog left when the campaign ended.
+    scrubber gets its window, and keeps the latest per-kernel snapshot
+    so the arena can report async scrub work, the backlog left when
+    the campaign ended, and the kernels' host time in teardown.
     """
 
     def __init__(self, delay_ticks: int) -> None:
@@ -68,7 +68,7 @@ class ScrapeDelayHook:
             )
         self.delay_ticks = delay_ticks
         self._lock = threading.Lock()
-        self._snapshots: dict[int, tuple[int, int]] = {}
+        self._snapshots: dict[int, tuple[int, int, float]] = {}
 
     def __call__(self, kernel: PetaLinuxKernel) -> None:
         kernel.tick(self.delay_ticks)
@@ -76,19 +76,26 @@ class ScrapeDelayHook:
             self._snapshots[id(kernel)] = (
                 kernel.sanitizer.stats.frames_scrubbed_async,
                 kernel.sanitizer.pending,
+                kernel.teardown_seconds,
             )
 
     @property
     def frames_scrubbed_async(self) -> int:
         """Frames the background daemons scrubbed, fleet-wide."""
         with self._lock:
-            return sum(frames for frames, _ in self._snapshots.values())
+            return sum(frames for frames, _, _ in self._snapshots.values())
 
     @property
     def scrub_backlog(self) -> int:
         """Frames still queued when each board's last wave ended."""
         with self._lock:
-            return sum(pending for _, pending in self._snapshots.values())
+            return sum(pending for _, pending, _ in self._snapshots.values())
+
+    @property
+    def teardown_seconds(self) -> float:
+        """Host seconds the kernels spent terminating victims."""
+        with self._lock:
+            return sum(spent for _, _, spent in self._snapshots.values())
 
 
 def prepare_weight_probe(
@@ -153,11 +160,13 @@ def summarize_run(
     report: CampaignReport,
     hook: ScrapeDelayHook,
     weight_theft_match: float | None,
+    wall_seconds: float,
 ) -> DefenseRow:
     """Distill one profile's campaign into a matrix row.
 
-    A zero-victim run has a defined answer here: nothing was attacked,
-    so nothing was scraped inside the window — the
+    *wall_seconds* is the campaign's host time; the report has none.  A
+    zero-victim run has a defined answer here: nothing was attacked, so
+    nothing was scraped inside the window — the
     :class:`~repro.errors.EmptyMetricError` the rate metric raises is
     caught and reported as 0.0 instead of crashing summarization.
     """
@@ -177,11 +186,11 @@ def summarize_run(
         bytes_scraped=sum(o.nbytes for o in outcomes),
         window_hit_rate=hit_rate,
         weight_theft_match=weight_theft_match,
-        teardown_seconds=sum(o.teardown_seconds for o in outcomes),
+        teardown_seconds=hook.teardown_seconds,
         frames_scrubbed_sync=sum(o.frames_scrubbed_sync for o in outcomes),
         frames_scrubbed_async=hook.frames_scrubbed_async,
         scrub_backlog=hook.scrub_backlog,
-        wall_seconds=report.wall_seconds,
+        wall_seconds=wall_seconds,
     )
 
 
@@ -216,6 +225,7 @@ def run_defense_arena(
     for profile in resolved:
         config = profile.kernel_config(spec)
         hook = ScrapeDelayHook(scrape_delay_ticks)
+        started = time.perf_counter()
         report = run_campaign(
             spec,
             profiles=prep_profiles,
@@ -223,6 +233,7 @@ def run_defense_arena(
             kernel_config=config,
             teardown_hook=hook,
         )
+        wall_seconds = time.perf_counter() - started
         match = (
             probe_weight_theft(
                 config,
@@ -233,7 +244,7 @@ def run_defense_arena(
             if weight_theft
             else None
         )
-        rows.append(summarize_run(profile, report, hook, match))
+        rows.append(summarize_run(profile, report, hook, match, wall_seconds))
     return DefenseMatrix(
         spec=spec, scrape_delay_ticks=scrape_delay_ticks, rows=rows
     )

@@ -12,9 +12,8 @@ frontier.  Dominated configs are kept in the ranking for context but
 marked; the frontier is what ``docs/defenses.md`` cites.
 
 The overhead axis is a deterministic cost model, not wall-clock:
-wall-clock fields are the one nondeterministic part of a campaign
-outcome (``canonical_outcome`` zeroes them for exactly that reason),
-and a byte-reproducible frontier cannot stand on them.  Costs count
+campaign outcomes record no host time, and a byte-reproducible
+frontier could not stand on it.  Costs count
 work the defense *causes* — frames scrubbed synchronously on the
 teardown path, frames the background daemon scrubbed, plus flat
 per-board charges for address-space randomization and hypervisor

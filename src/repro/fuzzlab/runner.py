@@ -126,11 +126,10 @@ class WorldEval:
     """Deterministic measurements of one scenario under one profile.
 
     The lightweight sibling of :func:`build_world`: a *single*
-    in-process campaign through the arena's teardown-delay hook, with
-    every wall-clock field deliberately absent — the explorer
-    (:mod:`repro.explore`) scores genomes on these numbers and promises
-    byte-identical frontiers per seed, so only fields
-    ``canonical_outcome`` would keep are summarized here.
+    in-process campaign through the arena's teardown-delay hook.  The
+    explorer (:mod:`repro.explore`) scores genomes on these numbers and
+    promises byte-identical frontiers per seed, so only simulated work
+    is summarized here — never the host time the hook also records.
     """
 
     profile: str

@@ -19,6 +19,7 @@ paper measured; each experiment flips exactly the knob it studies.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 
 from repro.errors import NoSuchProcessError, ProcessStateError
@@ -125,6 +126,8 @@ class PetaLinuxKernel:
 
         self.rootfs = RootFs()
         self.clock_ticks = 0
+        # Host seconds spent in exit_process, sanitizing included.
+        self.teardown_seconds = 0.0
         self._processes: dict[int, Process] = {}
         self._reaped: dict[int, Process] = {}
         self._pids = itertools.count(self.config.pid_start)
@@ -241,6 +244,7 @@ class PetaLinuxKernel:
         longer shows in ``ps -ef`` (paper Fig. 9) — but its frames'
         contents survive in DRAM unless the sanitizer scrubbed them.
         """
+        started = time.perf_counter()
         process = self.find_process(pid)
         if not process.is_alive:
             raise ProcessStateError(f"pid {pid} already exited")
@@ -253,6 +257,7 @@ class PetaLinuxKernel:
         process.exit_code = exit_code
         del self._processes[pid]
         self._reaped[pid] = process
+        self.teardown_seconds += time.perf_counter() - started
 
     def kill(self, pid: int) -> None:
         """SIGKILL semantics: immediate exit with code 137."""

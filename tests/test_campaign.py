@@ -85,7 +85,6 @@ def _outcome(**overrides) -> VictimOutcome:
         nbytes=4096,
         devmem_reads=1,
         pages_read=1,
-        wall_seconds=0.5,
     )
     fields.update(overrides)
     return VictimOutcome(**fields)
@@ -118,9 +117,7 @@ class TestReportAggregation:
             ),
         ]
         return CampaignReport(
-            spec=CampaignSpec(boards=2, victims=3),
-            outcomes=outcomes,
-            wall_seconds=2.0,
+            spec=CampaignSpec(boards=2, victims=3), outcomes=outcomes
         )
 
     def test_fleet_rates(self):
@@ -133,9 +130,9 @@ class TestReportAggregation:
         assert report.total_devmem_reads == 3
 
     def test_throughput_math(self):
-        throughput = self._report().throughput
-        assert throughput == ThroughputStats(
-            nbytes=12288, victims=3, wall_seconds=2.0
+        report = self._report()
+        throughput = ThroughputStats(
+            nbytes=report.total_bytes, victims=report.victims, wall_seconds=2.0
         )
         assert throughput.bytes_per_second == pytest.approx(6144.0)
         assert throughput.victims_per_second == pytest.approx(1.5)
@@ -161,11 +158,9 @@ class TestReportAggregation:
         assert "scrubbed" in report.render()
 
     def test_empty_report_rates_are_zero(self):
-        report = CampaignReport(
-            spec=CampaignSpec(), outcomes=[], wall_seconds=0.0
-        )
+        report = CampaignReport(spec=CampaignSpec(), outcomes=[])
         assert report.success_rate == 0.0
-        assert report.throughput.bytes_per_second == 0.0
+        assert report.total_bytes == 0
 
     def test_json_round_trip(self):
         report = self._report()

@@ -7,7 +7,7 @@ The acceptance claims, pinned:
   even when the resume uses a different executor than the interrupted
   run);
 - the in-process and multiprocess executors produce identical
-  canonical outcomes;
+  reports;
 - every scraped dump lands in the content-addressed spool and no dump
   object survives the campaign in memory (the flat-memory property);
 - the journal survives torn writes, and board-completion markers bound
@@ -17,6 +17,7 @@ The acceptance claims, pinned:
 import gc
 import json
 import weakref
+from dataclasses import asdict
 
 import pytest
 
@@ -34,22 +35,15 @@ from repro.campaign import (
 from repro.campaign.runtime import (
     InProcessExecutor,
     MultiprocessExecutor,
-    canonical_outcome,
     resolve_executor,
 )
-from repro.campaign.worker import VictimOutcome
+from repro.campaign.worker import VictimOutcome, outcome_from_dict
 from repro.errors import CampaignInterrupted
 
 SPEC = CampaignSpec(boards=3, victims=9, seed=5)
 
-
-def _canonical_json(report) -> str:
-    """A plain run's report with the wall-clock fields normalized."""
-    canonical = [canonical_outcome(o) for o in report.outcomes]
-    return json.dumps(
-        [json.loads(json.dumps(o.__dict__, sort_keys=True)) for o in canonical],
-        sort_keys=True,
-    )
+LEGACY_TIMINGS = {"wall_seconds": 0.25, "teardown_seconds": 0.002}
+"""The two host-timing keys of outcome records written before they went."""
 
 
 class TestSpool:
@@ -147,7 +141,6 @@ class TestRunDirectory:
             nbytes=4096,
             devmem_reads=1,
             pages_read=1,
-            wall_seconds=0.0,
         )
 
     def test_journal_round_trip(self, tmp_path):
@@ -201,7 +194,7 @@ class TestRunDirectory:
         assert "max_workers" not in spec_to_dict(SPEC)
 
         for artifact in (
-            CampaignReport(spec=SPEC, outcomes=[], wall_seconds=0.0),
+            CampaignReport(spec=SPEC, outcomes=[]),
             DefenseMatrix(spec=SPEC, scrape_delay_ticks=0, rows=[]),
         ):
             payload = json.loads(artifact.to_json())
@@ -214,16 +207,60 @@ class TestRunDirectory:
         run.spec_path.write_text(json.dumps(stored))
         assert RunDirectory.open(run.root).load_spec() == SPEC
 
-    def test_canonical_outcome_zeroes_only_wall_clock(self):
-        noisy = self._outcome(0)
-        noisy = type(noisy)(
-            **{**noisy.__dict__, "wall_seconds": 1.5, "teardown_seconds": 0.2}
+    def test_journals_with_host_timings_still_resume(self, tmp_path):
+        """Journals written while outcomes still carried
+        ``wall_seconds`` and ``teardown_seconds`` resume to the same
+        ``report.json`` as a fresh run.  One thread makes board 0
+        finish before the interrupt, so resume reuses its legacy
+        records."""
+        sequential = InProcessExecutor(max_workers=1)
+        CampaignRuntime(SPEC, tmp_path / "full", executor=sequential).run()
+        crashed = RunDirectory.create(tmp_path / "crashed", SPEC)
+        with pytest.raises(CampaignInterrupted):
+            CampaignRuntime(
+                SPEC, crashed, executor=sequential, interrupt_after=4
+            ).run()
+        lines = []
+        for line in crashed.journal_path.read_text().splitlines():
+            record = json.loads(line)
+            for outcome in record.get("outcomes", []):
+                outcome.update(LEGACY_TIMINGS)
+            lines.append(json.dumps(record, sort_keys=True))
+        crashed.journal_path.write_text("\n".join(lines) + "\n")
+        assert 0 in crashed.load_journal().complete_boards
+        CampaignRuntime.resume(crashed.root).run()
+        assert crashed.report_path.read_bytes() == (
+            tmp_path / "full" / "report.json"
+        ).read_bytes()
+
+    def test_reports_with_host_timings_still_load(self):
+        report = CampaignReport(
+            spec=SPEC, outcomes=[self._outcome(0), self._outcome(1)]
         )
-        clean = canonical_outcome(noisy)
-        assert clean.wall_seconds == 0.0
-        assert clean.teardown_seconds == 0.0
-        assert clean.pid == noisy.pid
-        assert clean.nbytes == noisy.nbytes
+        payload = json.loads(report.to_json())
+        payload["wall_seconds"] = 1.5
+        for record in payload["outcomes"]:
+            record.update(LEGACY_TIMINGS)
+        rebuilt = CampaignReport.from_json(json.dumps(payload))
+        assert rebuilt.to_json() == report.to_json()
+
+    def test_records_with_other_unknown_keys_still_raise(self, tmp_path):
+        record = {**asdict(self._outcome(0)), **LEGACY_TIMINGS}
+        assert outcome_from_dict(record) == self._outcome(0)
+        record["cpu_seconds"] = 1.0
+        with pytest.raises(TypeError, match="cpu_seconds"):
+            outcome_from_dict(record)
+        payload = json.loads(
+            CampaignReport(spec=SPEC, outcomes=[]).to_json()
+        )
+        payload["outcomes"] = [record]
+        with pytest.raises(TypeError, match="cpu_seconds"):
+            CampaignReport.from_json(json.dumps(payload))
+        run = RunDirectory.create(tmp_path / "run", SPEC)
+        line = {"type": "wave", "board": 0, "wave": 0, "outcomes": [record]}
+        run.journal_path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(TypeError, match="cpu_seconds"):
+            run.load_journal()
 
 
 class TestLeaseEpochWatermarks:
@@ -294,12 +331,12 @@ class TestExecutorEquivalence:
     def test_multiprocess_matches_inprocess(self):
         inproc = run_campaign(SPEC, executor="inprocess")
         multi = run_campaign(SPEC, executor="multiprocess", processes=2)
-        assert _canonical_json(inproc) == _canonical_json(multi)
+        assert inproc.to_json() == multi.to_json()
 
     def test_process_count_does_not_change_outcomes(self):
         one = run_campaign(SPEC, executor="multiprocess", processes=1)
         three = run_campaign(SPEC, executor="multiprocess", processes=3)
-        assert _canonical_json(one) == _canonical_json(three)
+        assert one.to_json() == three.to_json()
 
     def test_resolve_auto_small_fleet_is_threads(self):
         chosen = resolve_executor(SPEC, "auto")
@@ -348,7 +385,7 @@ class TestExecutorEquivalence:
             executor="multiprocess",
             processes=2,
         )
-        assert _canonical_json(inproc) == _canonical_json(multi)
+        assert inproc.to_json() == multi.to_json()
 
     def test_auto_with_custom_database_goes_multiprocess(self):
         """The documented prep-reuse pattern keeps working at any fleet
@@ -428,15 +465,18 @@ class TestCheckpointResume:
         assert resumed.to_json() == full.to_json()
 
     def test_checkpointed_report_is_timing_free(self, tmp_path):
-        report = self._uninterrupted(tmp_path)
-        assert report.wall_seconds == 0.0
-        assert all(o.wall_seconds == 0.0 for o in report.outcomes)
-        assert all(o.teardown_seconds == 0.0 for o in report.outcomes)
+        self._uninterrupted(tmp_path)
+        payload = json.loads((tmp_path / "full" / "report.json").read_text())
+        keys = {*payload, *payload["spec"]}
+        keys.update(key for record in payload["outcomes"] for key in record)
+        assert not [key for key in keys if key.endswith("_seconds")]
 
     def test_checkpointed_matches_plain_spooled_run(self, tmp_path):
-        checkpointed = self._uninterrupted(tmp_path)
+        self._uninterrupted(tmp_path)
         plain = run_campaign(SPEC, spool=DumpSpool(tmp_path / "spool"))
-        assert _canonical_json(checkpointed) == _canonical_json(plain)
+        assert (plain.to_json() + "\n").encode() == (
+            tmp_path / "full" / "report.json"
+        ).read_bytes()
 
     def test_interrupt_preserves_journal_and_telemetry(self, tmp_path):
         with pytest.raises(CampaignInterrupted):
@@ -560,7 +600,3 @@ class TestPlainEngineStillWorks:
             for o in report.outcomes
             if o.failed_step is None
         )
-
-    def test_plain_run_keeps_real_wall_clock(self):
-        report = run_campaign(SPEC)
-        assert report.wall_seconds > 0.0

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,38 @@ class TestCampaignCheckpointCli:
         assert (crash_dir / "report.json").read_bytes() == (
             full_dir / "report.json"
         ).read_bytes()
+
+    @staticmethod
+    def _victims_per_second(output: str) -> float:
+        match = re.search(r"throughput: .*\(.*, ([0-9.]+) victims/s\)", output)
+        assert match, output
+        return float(match.group(1))
+
+    def test_every_run_prints_the_throughput_it_timed(self, tmp_path, capsys):
+        """Reports record no host time; the command times itself."""
+        assert main(self.RUN) == 0
+        assert self._victims_per_second(capsys.readouterr().out) > 0
+        run_dir = tmp_path / "fleet"
+        assert main(self.RUN + ["--run-dir", str(run_dir)]) == 0
+        assert self._victims_per_second(capsys.readouterr().out) > 0
+        crash_dir = tmp_path / "crash"
+        assert main(
+            self.RUN + ["--run-dir", str(crash_dir), "--interrupt-after", "1"]
+        ) == 3
+        capsys.readouterr()
+        assert main(["campaign", "run", "--resume", str(crash_dir)]) == 0
+        assert self._victims_per_second(capsys.readouterr().out) > 0
+        # A finished run reuses every board: nothing attacked, nothing
+        # to count in this invocation's time.
+        assert main(["campaign", "run", "--resume", str(crash_dir)]) == 0
+        assert "throughput: 0 victims" in capsys.readouterr().out
+
+        payload = json.loads((run_dir / "report.json").read_text())
+        keys = {*payload, *payload["spec"]}
+        keys.update(key for record in payload["outcomes"] for key in record)
+        assert not [key for key in keys if key.endswith("_seconds")]
+        assert main(["campaign", "report", str(run_dir / "report.json")]) == 0
+        assert "victims/s" not in capsys.readouterr().out
 
     def test_interrupt_requires_checkpointable_run(self, capsys):
         assert main(self.RUN + ["--interrupt-after", "1"]) == 2

@@ -16,6 +16,7 @@ from repro.defense import (
     defense_profile,
     probe_weight_theft,
     run_defense_arena,
+    summarize_run,
 )
 from repro.errors import PermissionDeniedError
 from repro.evaluation.metrics import (
@@ -156,12 +157,14 @@ class TestDefenseHooks:
         assert report.success_rate == 1.0
 
     def test_outcomes_carry_residue_and_teardown_stats(self):
-        report = run_campaign(SMALL)
+        hook = ScrapeDelayHook(0)
+        report = run_campaign(SMALL, teardown_hook=hook)
         for outcome in report.outcomes:
             assert outcome.residue_nbytes > 0
             assert outcome.residue_nbytes <= outcome.nbytes
-            assert outcome.teardown_seconds > 0.0
             assert outcome.frames_scrubbed_sync == 0
+        row = summarize_run(defense_profile("none"), report, hook, None, 0.0)
+        assert row.teardown_seconds > 0.0
 
     def test_zero_on_free_kernel_scrubs_at_teardown(self):
         config = defense_profile("zero_on_free").kernel_config(SMALL)
@@ -172,19 +175,23 @@ class TestDefenseHooks:
     def test_failed_victims_still_charge_teardown_cost(self):
         # A profile that kills the attack at step 1-2 (pagemap locked)
         # still terminates — and scrubs — every victim; the failed
-        # outcomes must carry that overhead, not zeros.
+        # outcomes and the row must carry that overhead, not zeros.
         from repro.petalinux.kernel import KernelConfig
 
         config = KernelConfig(
             pagemap_world_readable=False,
             sanitize_policy=SanitizePolicy.ZERO_ON_FREE,
         )
-        report = run_campaign(SMALL, kernel_config=config)
+        hook = ScrapeDelayHook(0)
+        report = run_campaign(SMALL, kernel_config=config, teardown_hook=hook)
         assert report.success_rate == 0.0
         for outcome in report.outcomes:
             assert outcome.failed_step == "step 1-2 (observe/harvest)"
             assert outcome.frames_scrubbed_sync > 0
-            assert outcome.teardown_seconds > 0.0
+        row = summarize_run(
+            defense_profile("zero_on_free"), report, hook, None, 0.0
+        )
+        assert row.teardown_seconds > 0.0
 
 
 # -- the arena ----------------------------------------------------------------
@@ -226,6 +233,11 @@ class TestDefenseArena:
         row = matrix.row("pinned_xen")
         assert row.success_rate == 0.0
         assert row.residue_bytes == 0
+
+    def test_every_row_times_the_host(self, matrix):
+        for row in matrix.rows:
+            assert row.wall_seconds > 0.0
+            assert row.teardown_seconds > 0.0
 
     def test_unknown_row_raises(self, matrix):
         with pytest.raises(KeyError):
@@ -285,9 +297,9 @@ class TestDegenerateRows:
         from repro.defense import ScrapeDelayHook, defense_profile
         from repro.defense.arena import summarize_run
 
-        report = CampaignReport(spec=SMALL, outcomes=[], wall_seconds=0.0)
+        report = CampaignReport(spec=SMALL, outcomes=[])
         row = summarize_run(
-            defense_profile("none"), report, ScrapeDelayHook(0), None
+            defense_profile("none"), report, ScrapeDelayHook(0), None, 0.0
         )
         assert row.victims == 0
         assert row.window_hit_rate == 0.0

@@ -50,6 +50,7 @@ from fabric_chaos import (
 from repro import wire
 from repro.campaign import CampaignSpec, prepare_offline_cached
 from repro.campaign.runtime.fabric import (
+    FABRIC_FORMAT,
     FabricClient,
     FabricCoordinator,
     FabricWorker,
@@ -148,7 +149,7 @@ class TestProtocol:
     ):
         with _client(coordinator) as client:
             hello = client.request("hello", worker="w")
-            assert hello["format"] == 1
+            assert hello["format"] == FABRIC_FORMAT
             assert hello["spec"]["boards"] == SMALL.boards
             assert hello["defense_profile"] is None
             assert hello["lease_ttl"] == 30.0
@@ -230,6 +231,22 @@ class TestProtocol:
                     outcomes=[asdict(outcome)],
                 )
 
+    def test_wave_with_host_timings_is_rejected(self, coordinator):
+        """Format-1 outcomes carried ``wall_seconds``; the coordinator
+        takes current records only, and ``hello`` turns format-1 peers
+        away before they get this far."""
+        jobs = jobs_by_board(build_schedule(SMALL))
+        with _client(coordinator) as client:
+            claim = client.request("claim", worker="w")
+            record = asdict(_fake_outcome(jobs, claim["board"]))
+            with pytest.raises(FabricProtocolError, match="wall_seconds"):
+                client.request(
+                    "wave",
+                    lease=claim["lease"],
+                    wave=0,
+                    outcomes=[{**record, "wall_seconds": 0.5}],
+                )
+
     def test_fenced_worker_cannot_journal_after_reclaim(self, coordinator):
         clock = coordinator.chaos_clock
         jobs = jobs_by_board(build_schedule(SMALL))
@@ -289,7 +306,6 @@ def _fake_outcome(jobs, board):
         nbytes=0,
         devmem_reads=0,
         pages_read=0,
-        wall_seconds=0.0,
     )
 
 

@@ -365,11 +365,18 @@ def main() -> int:
         mp_report = run_multiprocess()
         mp_walls.append(time.perf_counter() - started)
         pair_ratios.append(thread_walls[-1] / mp_walls[-1])
-    campaign_wall = statistics.median(thread_walls)
-    mp_wall = statistics.median(mp_walls)
     mp_speedup = statistics.median(pair_ratios)
-    throughput = report.throughput
-    mp_throughput = mp_report.throughput
+
+    def campaign_lane(report, walls: list[float]) -> dict:
+        # Both rates come from the median wall recorded beside them.
+        wall = statistics.median(walls)
+        return {
+            "boards": spec.boards,
+            "victims": report.victims,
+            "wall_seconds": round(wall, 3),
+            "victims_per_second": round(report.victims / wall, 3),
+            "mib_per_second": round(report.total_bytes / wall / 1024**2, 2),
+        }
 
     # The explore lane: a bounded evolution through the real campaign
     # engine, recorded as generations/s.  One warm run first so the
@@ -422,25 +429,9 @@ def main() -> int:
             **lane(spool_fast, spool_ref),
             "mode": "mmap vs slurp, nonzero scored",
         },
-        "campaign": {
-            "boards": spec.boards,
-            "victims": throughput.victims,
-            "wall_seconds": round(campaign_wall, 3),
-            "victims_per_second": round(throughput.victims_per_second, 3),
-            "mib_per_second": round(
-                throughput.bytes_per_second / (1024 * 1024), 2
-            ),
-        },
+        "campaign": campaign_lane(report, thread_walls),
         "campaign_multiprocess": {
-            "boards": spec.boards,
-            "victims": mp_throughput.victims,
-            "wall_seconds": round(mp_wall, 3),
-            "victims_per_second": round(
-                mp_throughput.victims_per_second, 3
-            ),
-            "mib_per_second": round(
-                mp_throughput.bytes_per_second / (1024 * 1024), 2
-            ),
+            **campaign_lane(mp_report, mp_walls),
             "speedup_vs_inprocess": round(mp_speedup, 2),
         },
         "explore": {
