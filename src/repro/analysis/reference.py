@@ -3,17 +3,19 @@
 These are the per-byte-loop versions the single-pass engine in
 :mod:`repro.analysis.scan` replaced, plus the per-row marker search
 and per-pixel convolution that :class:`repro.utils.hexdump.HexDump`
-and :mod:`repro.vitis.ops` replaced with array operations — kept
-verbatim so the fast paths can always be held to them:
+and :mod:`repro.vitis.ops` replaced with array operations, and the
+per-byte ``strings`` scan that
+:func:`repro.utils.strings.extract_strings` replaced with one regex
+pass — kept verbatim so the fast paths can always be held to them:
 
 - ``tests/test_analysis_scan.py`` asserts byte-identical region maps
   and score-identical signature matches over randomized windows, and
-  ``tests/test_kernel_equivalence.py`` identical marker rows and
-  convolution outputs;
-- ``tools/bench_runner.py`` re-verifies the scan-core equivalences on
-  the benchmark dump (exiting nonzero on any divergence) and times fast
-  vs. reference to record the speedup trajectory in
-  ``BENCH_analysis.json``.
+  ``tests/test_kernel_equivalence.py`` identical marker rows,
+  convolution outputs and string hits;
+- ``tools/bench_runner.py`` re-verifies the scan-core and string
+  equivalences on the benchmark dump (exiting nonzero on any
+  divergence) and times fast vs. reference to record the speedup
+  trajectory in ``BENCH_analysis.json``.
 
 Nothing here is wired into a production path; importing this module
 costs nothing at attack time.
@@ -27,7 +29,10 @@ from collections import Counter
 import numpy as np
 
 from repro.attack.carving import Region, RegionKind
+from repro.utils.strings import StringHit
 from repro.vitis.ops import _requantize
+
+_PRINTABLE = frozenset(range(0x20, 0x7F))
 
 
 def reference_shannon_entropy(data: bytes) -> float:
@@ -198,3 +203,26 @@ def reference_conv2d_int8(
     flat_weights = weights.reshape(kh * kw * cin, cout).astype(np.int32)
     acc = columns @ flat_weights
     return _requantize(acc, shift).reshape(out_h, out_w, cout)
+
+
+def reference_extract_strings(
+    data: bytes, minimum_length: int = 4
+) -> list[StringHit]:
+    """Per-byte ``strings -n <minimum_length>`` scan."""
+    if minimum_length < 1:
+        raise ValueError(f"minimum_length must be >= 1, got {minimum_length}")
+    hits = []
+    run_start = None
+    for index, byte in enumerate(data):
+        if byte in _PRINTABLE:
+            if run_start is None:
+                run_start = index
+        else:
+            if run_start is not None and index - run_start >= minimum_length:
+                hits.append(
+                    StringHit(run_start, data[run_start:index].decode("ascii"))
+                )
+            run_start = None
+    if run_start is not None and len(data) - run_start >= minimum_length:
+        hits.append(StringHit(run_start, data[run_start:].decode("ascii")))
+    return hits

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.attack.config import AttackConfig
 from repro.attack.identify import SignatureDatabase
 from repro.attack.profiling import ProfileStore
 from repro.campaign.report import CampaignReport
@@ -55,10 +56,16 @@ def prepare_offline(spec: CampaignSpec) -> tuple[ProfileStore, SignatureDatabase
     """The adversary's one-time prep: profiles + signature database.
 
     Runs on a dedicated reference board (the fleet never sees the
-    marker images), covering every model in the campaign mix.
+    marker images), covering every model in the campaign mix.  The
+    profiler scrapes its own runs with coalesced reads whatever
+    ``spec.coalesce_reads`` says: a profile records only offsets,
+    sizes and strings, which every read mode gets byte-identical, and
+    the spec's read mode governs how the fleet's victims are scraped.
     """
     reference = BoardSession.boot(input_hw=spec.input_hw)
-    profiles = reference.profile(sorted(set(spec.model_mix)))
+    profiles = reference.profile(
+        sorted(set(spec.model_mix)), config=AttackConfig(coalesce_reads=True)
+    )
     return profiles, SignatureDatabase.from_profiles(profiles)
 
 

@@ -164,9 +164,9 @@ class InProcessExecutor:
         """Run the boards on a thread pool, streaming waves out.
 
         When a sink raises (the runtime's interrupt point), boards not
-        yet started are cancelled, boards already running finish their
-        current schedule — journal writes for those still land, which
-        only gives a later resume more to reuse.
+        yet started are cancelled and boards already running stop at
+        their next wave: the runtime's sink keeps raising, without
+        journaling, once it has raised.
         """
         populated, grouped = _populated_boards(
             spec, board_indices, on_board_complete

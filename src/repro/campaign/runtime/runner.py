@@ -169,6 +169,13 @@ class CampaignRuntime:
         ) -> None:
             nonlocal journaled, interrupted
             with lock:
+                # Once interrupted, every board thread still running
+                # stops at its next wave without journaling it, as a
+                # crashed process would.
+                if interrupted:
+                    raise CampaignInterrupted(
+                        str(self._run_dir.root), journaled
+                    )
                 self._run_dir.append_wave(board, wave, outcomes)
                 accumulator.extend(outcomes)
                 fresh.extend(outcomes)
@@ -176,7 +183,6 @@ class CampaignRuntime:
                 if (
                     self._interrupt_after is not None
                     and journaled >= self._interrupt_after
-                    and not interrupted
                 ):
                     interrupted = True
                     raise CampaignInterrupted(

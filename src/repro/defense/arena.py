@@ -105,11 +105,17 @@ def prepare_weight_probe(
 
     Both are profile-independent (the layout is profiled on a
     vulnerable reference board the adversary controls), so an arena
-    sweep prepares them once and reuses them for every profile.
+    sweep prepares them once and reuses them for every profile.  The
+    layout scrape coalesces its reads, as the probe's own scrape does:
+    a layout records only offsets and sizes, identical in every read
+    mode.
     """
     reference = BoardSession.boot(input_hw=input_hw)
     layout = profile_weight_layout(
-        reference.attacker_shell, model_name, input_hw=input_hw
+        reference.attacker_shell,
+        model_name,
+        input_hw=input_hw,
+        config=AttackConfig(coalesce_reads=True),
     )
     private = fine_tune(
         build_model(model_name, input_hw=input_hw), seed=WEIGHT_PROBE_SEED

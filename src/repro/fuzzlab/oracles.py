@@ -10,9 +10,10 @@ The registry covers every cross-cutting contract the codebase claims:
 ``scan_equivalence``
     every fast path in :mod:`repro.analysis.scan` (region maps, window
     classification, entropy, printable fraction, nonzero counting, the
-    Aho–Corasick signature matcher) and the numpy marker-row search of
-    :class:`~repro.utils.hexdump.HexDump` is byte-/score-identical to
-    its loop reference in :mod:`repro.analysis.reference`, on real
+    Aho–Corasick signature matcher), the numpy marker-row search of
+    :class:`~repro.utils.hexdump.HexDump` and the regex ``strings`` of
+    :func:`~repro.utils.strings.extract_strings` is byte-/score-identical
+    to its loop reference in :mod:`repro.analysis.reference`, on real
     scraped residue;
 ``region_partition``
     a region map is a partition of the dump: starts at zero, covers
@@ -66,6 +67,7 @@ from typing import Callable
 
 from repro.analysis.reference import (
     reference_classify_window,
+    reference_extract_strings,
     reference_map_dump,
     reference_marker_run_rows,
     reference_match,
@@ -87,6 +89,7 @@ from repro.campaign.worker import VictimOutcome
 from repro.evaluation.metrics import nonzero_bytes
 from repro.petalinux.sanitizer import SanitizePolicy
 from repro.utils.hexdump import HexDump
+from repro.utils.strings import extract_strings
 
 ENTROPY_TOLERANCE = 1e-9
 """Float tolerance for entropy equivalence (the fast path sums the
@@ -98,6 +101,9 @@ SAMPLED_WINDOWS = 8
 MARKER_WORD = 0xFFFFFFFF
 """The white corruption marker of Fig. 12 as a 32-bit word; its rows
 are searched for alone and in the runs of two the reconstructor keeps."""
+
+STRING_MIN_LENGTHS = (4, 6)
+"""``strings(1)``'s default run length and the profiler's."""
 
 
 @dataclass(frozen=True)
@@ -298,6 +304,13 @@ def _scan_equivalence(world: ScenarioWorld) -> list[str]:
                 problems.append(
                     f"dump {artifact.digest[:12]}: marker rows (runs of "
                     f">= {minimum_rows}) diverge from the per-row reference"
+                )
+        for minimum_length in STRING_MIN_LENGTHS:
+            fast_hits = extract_strings(data, minimum_length)
+            if fast_hits != reference_extract_strings(data, minimum_length):
+                problems.append(
+                    f"dump {artifact.digest[:12]}: strings (runs of >= "
+                    f"{minimum_length}) diverge from the per-byte reference"
                 )
     return problems
 

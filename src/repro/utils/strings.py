@@ -8,9 +8,8 @@ database learned by offline profiling.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-
-_PRINTABLE = frozenset(range(0x20, 0x7F))
 
 
 @dataclass(frozen=True)
@@ -27,25 +26,20 @@ def extract_strings(data: bytes, minimum_length: int = 4) -> list[StringHit]:
     Mirrors ``strings -n <minimum_length>``: tabs and newlines are not
     treated as printable (GNU strings includes tab; the attack only
     cares about path and identifier fragments, where this makes no
-    difference).
+    difference).  One regex pass over any buffer (``bytes``,
+    ``bytearray``, ``mmap``); ``repro.analysis.reference`` keeps the
+    per-byte loop it replaced.
     """
     if minimum_length < 1:
         raise ValueError(f"minimum_length must be >= 1, got {minimum_length}")
-    hits = []
-    run_start = None
-    for index, byte in enumerate(data):
-        if byte in _PRINTABLE:
-            if run_start is None:
-                run_start = index
-        else:
-            if run_start is not None and index - run_start >= minimum_length:
-                hits.append(
-                    StringHit(run_start, data[run_start:index].decode("ascii"))
-                )
-            run_start = None
-    if run_start is not None and len(data) - run_start >= minimum_length:
-        hits.append(StringHit(run_start, data[run_start:].decode("ascii")))
-    return hits
+    # A greedy match that starts a run spans all of it, and a run too
+    # short to match has no longer suffix: one pass keeps exactly the
+    # runs the per-byte scan keeps.
+    pattern = rb"[\x20-\x7e]{%d,}" % minimum_length
+    return [
+        StringHit(match.start(), match.group().decode("ascii"))
+        for match in re.finditer(pattern, data)
+    ]
 
 
 def find_pattern_offsets(data: bytes, pattern: bytes, limit: int | None = None) -> list[int]:

@@ -2,13 +2,20 @@
 
 import pytest
 
+from repro.attack.config import AttackConfig
+from repro.attack.identify import SignatureDatabase
 from repro.attack.profiling import ModelProfile, OfflineProfiler, ProfileStore
+from repro.attack.weights import profile_weight_layout
+from repro.campaign import CampaignSpec, prepare_offline
+from repro.defense.arena import prepare_weight_probe
 from repro.errors import ProfilingError
 from repro.evaluation.scenarios import BoardSession
 from repro.petalinux.kernel import KernelConfig
 from repro.petalinux.sanitizer import SanitizePolicy
+from repro.vitis.zoo import MODEL_NAMES
 
 INPUT_HW = 32
+COALESCED = AttackConfig(coalesce_reads=True)
 
 
 class TestProfileModel:
@@ -78,6 +85,60 @@ class TestProfileModel:
         profiler.profile_model("resnet50_pt")
         commands = [p.command for p in attacker_shell.kernel.processes()]
         assert not any("resnet50_pt" in command for command in commands)
+
+
+class TestReadModeIndependence:
+    """Prep may coalesce: a profile or weight layout holds only offsets,
+    sizes and strings, and every read mode scrapes the same bytes."""
+
+    @pytest.mark.parametrize("input_hw", [16, 32])
+    def test_profiles_equal_under_word_and_coalesced_reads(self, input_hw):
+        word = BoardSession.boot(input_hw=input_hw).profile(list(MODEL_NAMES))
+        coalesced = BoardSession.boot(input_hw=input_hw).profile(
+            list(MODEL_NAMES), config=COALESCED
+        )
+        assert coalesced.profiles() == word.profiles()
+        assert coalesced.to_json() == word.to_json()
+
+    @pytest.mark.parametrize("input_hw", [16, 32])
+    def test_weight_layouts_equal_under_word_and_coalesced_reads(
+        self, input_hw
+    ):
+        word = BoardSession.boot(input_hw=input_hw).attacker_shell
+        coalesced = BoardSession.boot(input_hw=input_hw).attacker_shell
+        for model in MODEL_NAMES:
+            assert profile_weight_layout(
+                coalesced, model, input_hw=input_hw, config=COALESCED
+            ) == profile_weight_layout(word, model, input_hw=input_hw), model
+
+    def test_prep_matches_word_reads_whatever_the_fleet_read_mode(self):
+        spec = CampaignSpec()
+        word = BoardSession.boot(input_hw=spec.input_hw).profile(
+            sorted(set(spec.model_mix))
+        )
+        word_payload = SignatureDatabase.from_profiles(word).to_payload()
+        for fleet in (spec, CampaignSpec(coalesce_reads=False)):
+            profiles, database = prepare_offline(fleet)
+            assert profiles.to_json() == word.to_json()
+            assert database.to_payload() == word_payload
+
+    def test_probe_prep_matches_the_word_read_layout(self):
+        layout, _ = prepare_weight_probe(input_hw=INPUT_HW)
+        shell = BoardSession.boot(input_hw=INPUT_HW).attacker_shell
+        assert layout == profile_weight_layout(
+            shell, layout.model_name, input_hw=INPUT_HW
+        )
+
+    def test_coalesced_profiler_still_fails_on_sanitizing_board(self):
+        session = BoardSession.boot(
+            config=KernelConfig(sanitize_policy=SanitizePolicy.ZERO_ON_FREE),
+            input_hw=INPUT_HW,
+        )
+        profiler = OfflineProfiler(
+            session.attacker_shell, input_hw=INPUT_HW, config=COALESCED
+        )
+        with pytest.raises(ProfilingError):
+            profiler.profile_model("resnet50_pt")
 
 
 class TestProfileStore:

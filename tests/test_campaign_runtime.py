@@ -535,6 +535,23 @@ class TestCheckpointResume:
         assert resumed.victims == spec.victims
         assert resumed.to_json() == full.to_json()
 
+    def test_interrupt_stops_every_board_thread(self, tmp_path):
+        """Once one board thread interrupts, the others journal nothing
+        more: only the wave that crossed the threshold may overshoot it."""
+        spec = CampaignSpec(boards=4, victims=12)
+        threads = InProcessExecutor(max_workers=4)
+        CampaignRuntime(spec, tmp_path / "full", executor=threads).run()
+        with pytest.raises(CampaignInterrupted):
+            CampaignRuntime(
+                spec, tmp_path / "crashed", executor=threads, interrupt_after=5
+            ).run()
+        journal = RunDirectory.open(tmp_path / "crashed").load_journal()
+        assert 5 <= journal.journaled_outcomes <= 5 + spec.wave_size - 1
+        CampaignRuntime.resume(tmp_path / "crashed", executor=threads).run()
+        assert (tmp_path / "crashed" / "report.json").read_bytes() == (
+            tmp_path / "full" / "report.json"
+        ).read_bytes()
+
     def test_resume_of_finished_run_reuses_everything(self, tmp_path):
         first = self._uninterrupted(tmp_path)
         again = CampaignRuntime.resume(tmp_path / "full").run()

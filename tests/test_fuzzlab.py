@@ -189,6 +189,23 @@ class TestOracleRegistry:
             for violation in verdict.violations
         )
 
+    def test_scan_equivalence_catches_diverging_strings(self, monkeypatch):
+        from repro.fuzzlab import oracles
+        from repro.utils.strings import StringHit
+
+        original = oracles.extract_strings
+
+        def with_a_phantom_hit(data, minimum_length=4):
+            return original(data, minimum_length) + [StringHit(len(data), "x")]
+
+        monkeypatch.setattr(oracles, "extract_strings", with_a_phantom_hit)
+        verdict = run_scenario(small_scenario())
+        assert "scan_equivalence" in verdict.violated_oracles
+        assert any(
+            "strings (runs of >= 6)" in violation.message
+            for violation in verdict.violations
+        )
+
 
 class TestFuzzDeterminism:
     def test_same_seed_same_bytes_and_all_green(self):

@@ -1,9 +1,11 @@
-"""Array kernels versus the loop references they replaced.
+"""Array and regex kernels versus the loop references they replaced.
 
 ``HexDump.marker_run_rows`` (the Fig. 12 marker-block search) and
 ``vitis.ops.conv2d_int8`` (the DPU's convolution) run as numpy array
-operations; :mod:`repro.analysis.reference` keeps the per-row and
-per-pixel loops they replaced.  Both must agree exactly.
+operations, and ``utils.strings.extract_strings`` (the profiler's
+``strings``) as one regex pass; :mod:`repro.analysis.reference` keeps
+the per-row, per-pixel and per-byte loops they replaced.  Each pair
+must agree exactly.
 """
 
 import mmap
@@ -14,9 +16,11 @@ import pytest
 
 from repro.analysis.reference import (
     reference_conv2d_int8,
+    reference_extract_strings,
     reference_marker_run_rows,
 )
 from repro.utils.hexdump import HexDump
+from repro.utils.strings import StringHit, extract_strings
 from repro.vitis.ops import conv2d_int8
 
 MARKER = 0xFFFFFFFF
@@ -98,6 +102,68 @@ class TestMarkerRows:
         # A live numpy view would make the resize raise BufferError.
         buffer.extend(b"\x00")
         del buffer[:]
+
+
+BOUNDARY_BYTES = (0x1F, 0x20, 0x7E, 0x7F, 0x80)
+"""The printable range's edges: 0x20 and 0x7e are in it, the rest not."""
+
+
+def _random_text(rng: random.Random) -> bytes:
+    """Printable runs of every short length between boundary bytes and
+    noise; a run may touch either end of the buffer."""
+    parts = []
+    for _ in range(rng.randrange(0, 30)):
+        kind = rng.random()
+        if kind < 0.5:
+            length = rng.randrange(1, 12)
+            parts.append(bytes(rng.randrange(0x20, 0x7F) for _ in range(length)))
+        elif kind < 0.8:
+            parts.append(bytes([rng.choice(BOUNDARY_BYTES)]))
+        else:
+            parts.append(rng.randbytes(rng.randrange(1, 64)))
+    return b"".join(parts)
+
+
+def _assert_strings_match_reference(data: bytes) -> None:
+    for minimum_length in range(1, 9):
+        expected = reference_extract_strings(data, minimum_length)
+        for backing, buffer in _backings(data):
+            assert extract_strings(buffer, minimum_length) == expected, (
+                backing,
+                minimum_length,
+            )
+
+
+class TestExtractStrings:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_random_buffers(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            _assert_strings_match_reference(_random_text(rng))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            bytes(range(0x20, 0x7F)),
+            b"head\x00\x01middle\x7f\x80tail",
+            bytes(BOUNDARY_BYTES) * 3,
+        ],
+        ids=["empty", "all-printable", "runs-at-both-ends", "boundary-bytes"],
+    )
+    def test_matches_reference_on_edges(self, data):
+        _assert_strings_match_reference(data)
+
+    def test_boundary_bytes_split_runs(self):
+        assert extract_strings(bytes(BOUNDARY_BYTES) * 2, 1) == [
+            StringHit(1, " ~"),
+            StringHit(6, " ~"),
+        ]
+
+    def test_both_reject_a_zero_minimum(self):
+        for scan in (extract_strings, reference_extract_strings):
+            with pytest.raises(ValueError, match="minimum_length"):
+                scan(b"text", 0)
 
 
 def _conv_cases():

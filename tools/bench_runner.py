@@ -9,17 +9,21 @@ plus a multi-model signature database, then:
    :mod:`repro.analysis.reference` — byte-identical region maps,
    identical identification scores, identical window classifications
    (empty / all-zero / single-byte / partial-trailing-window edges
-   included), identical ``region_at`` lookups and residue counts —
-   plus the zero-copy lanes: the pooled coalesced scrape must produce
-   a dump byte-identical to the per-page reference strategy, and the
-   mmap-backed spool read must score identically to the slurped read.
+   included), identical ``region_at`` lookups, residue counts and
+   ``strings`` hits — plus the zero-copy lanes: the pooled coalesced
+   scrape must produce a dump byte-identical to the per-page reference
+   strategy, and the mmap-backed spool read must score identically to
+   the slurped read — and the offline-prep lane: coalesced
+   ``prepare_offline`` must give the word-mode profiles and signature
+   database, and the coalesced weight-probe layout the word-mode one.
    **Any divergence exits nonzero without timing anything.**
-2. times fast vs. reference (best-of-``--repeats`` wall clock) and an
-   end-to-end fleet campaign — in-process and multiprocess twins on
-   the same 8-board spec, plus an ``explore`` lane timing a bounded
-   evolutionary search (generations/s through the real campaign
-   engine) — and writes the results to ``BENCH_analysis.json`` so the
-   perf trajectory is committed and comparable PR-over-PR.
+2. times fast vs. reference (best-of-``--repeats`` wall clock), offline
+   prep with coalesced vs. word reads, and an end-to-end fleet
+   campaign — in-process and multiprocess twins on the same 8-board
+   spec, plus an ``explore`` lane timing a bounded evolutionary search
+   (generations/s through the real campaign engine) — and writes the
+   results to ``BENCH_analysis.json`` so the perf trajectory is
+   committed and comparable PR-over-PR.
 
 Exit status: 0 = verified and recorded, 2 = a fast path diverged from
 its reference or the multiprocess executor regressed below the
@@ -45,6 +49,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.analysis.reference import (  # noqa: E402
+    reference_extract_strings,
     reference_map_dump,
     reference_match,
     reference_nonzero_bytes,
@@ -57,6 +62,7 @@ from repro.attack.carving import DumpCartographer  # noqa: E402
 from repro.attack.config import AttackConfig  # noqa: E402
 from repro.attack.extraction import MemoryScraper, ScrapedDump  # noqa: E402
 from repro.attack.identify import ModelSignature, SignatureDatabase  # noqa: E402
+from repro.attack.weights import profile_weight_layout  # noqa: E402
 from repro.campaign import CampaignSpec, prepare_offline, run_campaign  # noqa: E402
 from repro.campaign.runtime import DumpSpool  # noqa: E402
 from repro.campaign.runtime.executors import (  # noqa: E402
@@ -65,10 +71,13 @@ from repro.campaign.runtime.executors import (  # noqa: E402
 )
 from repro.evaluation.scenarios import BoardSession  # noqa: E402
 from repro.utils.buffers import BufferPool  # noqa: E402
+from repro.utils.strings import extract_strings  # noqa: E402
 
 SEED = 20240315
 MODELS = 12
 TOKENS_PER_MODEL = 40
+PROBE_MODEL = "resnet50_pt"
+"""The defense arena's weight-probe model (``prepare_weight_probe``)."""
 
 
 def build_database(rng: np.random.Generator) -> list[ModelSignature]:
@@ -174,6 +183,15 @@ def verify(dump: bytes, cartographer: DumpCartographer,
     if nonzero_count(dump) != reference_nonzero_bytes(dump):
         failures.append("nonzero_count diverged from per-byte reference")
 
+    for minimum_length in (4, 6):
+        if extract_strings(dump, minimum_length) != reference_extract_strings(
+            dump, minimum_length
+        ):
+            failures.append(
+                f"extract_strings (>= {minimum_length}) diverged from "
+                f"per-byte reference"
+            )
+
     edges = [b"", b"\x00", b"\x00" * 256, b"\x7f", b"\xfe" * 300]
     for _ in range(64):
         length = int(rng.integers(1, 512))
@@ -223,6 +241,36 @@ def verify_zero_copy(pooled_dump: ScrapedDump, reference_dump: ScrapedDump,
             failures.append("mmap-backed spool read diverged from slurped read")
         if nonzero_count(mapped.data) != nonzero_count(dump):
             failures.append("nonzero_count over mmap diverged from bytes")
+    return failures
+
+
+def word_mode_prep(spec: CampaignSpec) -> tuple:
+    """``prepare_offline`` scraping as the paper does, a word per devmem."""
+    reference = BoardSession.boot(input_hw=spec.input_hw)
+    profiles = reference.profile(sorted(set(spec.model_mix)))
+    return profiles, SignatureDatabase.from_profiles(profiles)
+
+
+def probe_layout(spec: CampaignSpec, config: AttackConfig):
+    """The weight probe's layout scrape, on its own reference board."""
+    shell = BoardSession.boot(input_hw=spec.input_hw).attacker_shell
+    return profile_weight_layout(
+        shell, PROBE_MODEL, input_hw=spec.input_hw, config=config
+    )
+
+
+def verify_offline_prep(spec: CampaignSpec) -> list[str]:
+    """Divergences between coalesced and word-mode offline prep."""
+    failures: list[str] = []
+    word_profiles, word_database = word_mode_prep(spec)
+    profiles, database = prepare_offline(spec)
+    if profiles.to_json() != word_profiles.to_json():
+        failures.append("prepare_offline profiles diverged from word reads")
+    if database.to_payload() != word_database.to_payload():
+        failures.append("prepare_offline database diverged from word reads")
+    coalesced_layout = probe_layout(spec, AttackConfig(coalesce_reads=True))
+    if coalesced_layout != probe_layout(spec, AttackConfig()):
+        failures.append("weight-probe layout diverged from word reads")
     return failures
 
 
@@ -288,10 +336,12 @@ def main() -> int:
                     pages_read=0, pages_skipped=0, devmem_reads=0)
     )
 
+    prep_spec = CampaignSpec()  # the default three-model mix
     failures = verify(dump, cartographer, database, rng)
     failures += verify_zero_copy(
         pooled_dump, reference_dump, spool, entry.sha256, dump
     )
+    failures += verify_offline_prep(prep_spec)
     pooled_dump.release()
     if failures:
         for failure in failures:
@@ -325,6 +375,21 @@ def main() -> int:
 
     spool_fast, _ = best_of(args.repeats, spool_mmap_read)
     spool_ref, _ = best_of(args.repeats, spool_slurp_read)
+
+    # The scrapes a defense sweep's prep makes: the profiles and
+    # signature database plus the weight probe's layout, each on a
+    # freshly booted reference board, coalesced (as prepare_offline and
+    # prepare_weight_probe scrape) against word reads.
+    def prep_coalesced() -> None:
+        prepare_offline(prep_spec)
+        probe_layout(prep_spec, AttackConfig(coalesce_reads=True))
+
+    def prep_word() -> None:
+        word_mode_prep(prep_spec)
+        probe_layout(prep_spec, AttackConfig())
+
+    prep_fast, _ = best_of(args.repeats, prep_coalesced)
+    prep_ref, _ = best_of(args.repeats, prep_word)
 
     # Campaign twins at 8 boards — the fleet size the auto policy
     # sends to processes.  Offline prep is shared attacker state,
@@ -429,6 +494,15 @@ def main() -> int:
             **lane(spool_fast, spool_ref),
             "mode": "mmap vs slurp, nonzero scored",
         },
+        "offline_prep": {
+            "models": sorted(set(prep_spec.model_mix)),
+            "probe_model": PROBE_MODEL,
+            "input_hw": prep_spec.input_hw,
+            "fast_seconds": round(prep_fast, 6),
+            "reference_seconds": round(prep_ref, 6),
+            "speedup": round(prep_ref / prep_fast, 2),
+            "mode": "coalesced vs word reads, profiles + probe layout",
+        },
         "campaign": campaign_lane(report, thread_walls),
         "campaign_multiprocess": {
             **campaign_lane(mp_report, mp_walls),
@@ -465,6 +539,8 @@ def main() -> int:
           f"({payload['extraction']['fast_mib_per_s']} MiB/s pooled coalesced)")
     print(f"spool_read: {payload['spool_read']['speedup']:>6.2f}x "
           f"({payload['spool_read']['fast_mib_per_s']} MiB/s mmap)")
+    print(f"offline_prep: {payload['offline_prep']['speedup']:>4.2f}x "
+          f"({payload['offline_prep']['fast_seconds']} s coalesced)")
     print(f"campaign : {payload['campaign']['victims_per_second']} victims/s")
     print(f"campaign (multiprocess): "
           f"{payload['campaign_multiprocess']['victims_per_second']} victims/s "
