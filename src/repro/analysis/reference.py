@@ -3,17 +3,22 @@
 These are the per-byte-loop versions the single-pass engine in
 :mod:`repro.analysis.scan` replaced, plus the per-row marker search
 and per-pixel convolution that :class:`repro.utils.hexdump.HexDump`
-and :mod:`repro.vitis.ops` replaced with array operations, and the
+and :mod:`repro.vitis.ops` replaced with array operations, the
 per-byte ``strings`` scan that
 :func:`repro.utils.strings.extract_strings` replaced with one regex
-pass — kept verbatim so the fast paths can always be held to them:
+pass, and the materialized physical-ASLR frame pool that
+:class:`repro.mmu.frame_alloc.FrameAllocator` replaced with a sparse
+one — kept verbatim so the fast paths can always be held to them:
 
 - ``tests/test_analysis_scan.py`` asserts byte-identical region maps
-  and score-identical signature matches over randomized windows, and
+  and score-identical signature matches over randomized windows,
   ``tests/test_kernel_equivalence.py`` identical marker rows,
-  convolution outputs and string hits;
-- ``tools/bench_runner.py`` re-verifies the scan-core and string
-  equivalences on the benchmark dump (exiting nonzero on any
+  convolution outputs and string hits, and ``tests/test_properties.py``
+  identical frames over alloc/free scripts;
+- the ``scan_equivalence`` and ``allocator_equivalence`` fuzzlab
+  oracles replay each scenario's inputs through both sides;
+- ``tools/bench_runner.py`` re-verifies the scan-core, string and
+  allocator equivalences on its fixed inputs (exiting nonzero on any
   divergence) and times fast vs. reference to record the speedup
   trajectory in ``BENCH_analysis.json``.
 
@@ -29,6 +34,7 @@ from collections import Counter
 import numpy as np
 
 from repro.attack.carving import Region, RegionKind
+from repro.mmu.frame_alloc import FrameAllocator, ReusePolicy
 from repro.utils.strings import StringHit
 from repro.vitis.ops import _requantize
 
@@ -226,3 +232,50 @@ def reference_extract_strings(
     if run_start is not None and len(data) - run_start >= minimum_length:
         hits.append(StringHit(run_start, data[run_start:].decode("ascii")))
     return hits
+
+
+class ReferenceFrameAllocator(FrameAllocator):
+    """:class:`FrameAllocator` with the physical-ASLR pool materialized.
+
+    Under ``RANDOM`` the whole frame range sits in a list that draws
+    swap-remove from, and under every policy a set mirrors the pool for
+    :meth:`is_free`: a ZCU102 boot builds a 655,360-entry list and set.
+    """
+
+    def __init__(
+        self,
+        total_frames: int,
+        base_frame: int = 0,
+        policy: ReusePolicy = ReusePolicy.LIFO,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(total_frames, base_frame, policy, seed)
+        if policy is ReusePolicy.RANDOM:
+            self._free_pool = list(range(base_frame, total_frames))
+        self._free_set: set[int] = set(self._free_pool)
+
+    def _take_from_pool(self, count: int) -> list[int]:
+        if self._policy is not ReusePolicy.RANDOM:
+            frames = super()._take_from_pool(count)
+        else:
+            pool = self._free_pool
+            # Swap-remove keeps random draws O(1) even with the whole
+            # frame range pooled (the physical-ASLR configuration).
+            randrange = self._rng.randrange
+            frames = []
+            for _ in range(count):
+                index = randrange(len(pool))
+                frames.append(pool[index])
+                pool[index] = pool[-1]
+                pool.pop()
+        self._free_set.difference_update(frames)
+        return frames
+
+    def free(self, frames: list[int]) -> None:
+        """Return *frames* to the pool and to the membership set."""
+        super().free(frames)
+        self._free_set.update(frames)
+
+    def is_free(self, frame: int) -> bool:
+        """Whether *frame* is in the reuse pool, by set membership."""
+        return frame in self._free_set

@@ -104,11 +104,12 @@ class SignatureDatabase:
     def to_payload(self) -> dict[str, list[str]]:
         """A JSON-safe snapshot of the mined signatures.
 
-        The campaign's multiprocess executor ships this over the
-        process boundary so workers reconstruct the database with
-        :meth:`from_payload` instead of re-mining it from profiles —
-        mining is O(models² × strings) and used to dominate worker
-        startup on small fleets.
+        The fabric coordinator's ``hello`` ships this to each worker
+        process, which rebuilds the database with :meth:`from_payload`
+        instead of re-mining it from profiles — mining is
+        O(models² × strings).  Multiprocess-executor shards need no
+        payload: they inherit the database (fork) or unpickle it
+        (spawn).
         """
         return {
             name: sorted(signature.tokens)

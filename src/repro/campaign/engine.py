@@ -9,8 +9,8 @@
    attacker preps on hardware they control; a fleet attacker preps
    once, not once per victim);
 3. hand the fleet's boards to an executor from
-   :mod:`repro.campaign.runtime.executors` — threads sharing the prep
-   by reference for small fleets, ``multiprocessing`` shard processes
+   :mod:`repro.campaign.runtime.executors` — one worker thread sharing
+   the prep by reference for small fleets, ``multiprocessing`` shard processes
    spreading boards across cores for large ones (``executor="auto"``
    picks; both stream outcomes back wave by wave and produce
    identical results);
@@ -119,7 +119,8 @@ def run_campaign(
     boards.  *teardown_hook* fires per wave after termination (see
     :data:`~repro.campaign.worker.TeardownHook`).
 
-    *executor* selects board placement: ``"inprocess"`` (threads),
+    *executor* selects board placement: ``"inprocess"`` (the boards in
+    turn on one worker thread),
     ``"multiprocess"`` (*processes* workers sharding the fleet), or
     ``"auto"``.  *spool* files every scraped dump in a
     content-addressed store as soon as it is analyzed, so only wave-

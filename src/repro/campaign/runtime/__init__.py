@@ -8,11 +8,11 @@ PAPERS.md demand).  This package turns the engine into a restartable,
 service-grade runtime:
 
 - :mod:`~repro.campaign.runtime.executors` — the placement layer:
-  boards on threads (:class:`InProcessExecutor`) or sharded across
-  one ``multiprocessing`` process per shard for the length of a run
-  (:class:`MultiprocessExecutor`), streaming wave outcomes back over a
-  queue; :func:`resolve_executor` applies the small-fleet fallback
-  policy.
+  boards in turn on one worker thread (:class:`InProcessExecutor`) or
+  sharded across one ``multiprocessing`` process per shard for the
+  length of a run (:class:`MultiprocessExecutor`), streaming wave
+  outcomes back over a queue; :func:`resolve_executor` applies the
+  small-fleet fallback policy.
 - :mod:`~repro.campaign.runtime.spool` — :class:`DumpSpool`, the
   content-addressed on-disk store every scraped dump lands in the
   moment step-4 analysis finishes, keeping resident memory flat

@@ -9,11 +9,12 @@ been delivered.  The caller (the engine for plain runs, the
 checkpointed ones) owns ordering, journaling, and aggregation; the
 executor owns only placement and transport.
 
-- :class:`InProcessExecutor` — one thread per board in the calling
-  process, sharing the prepped :class:`ProfileStore` and the compiled
-  signature automaton by reference.  The right choice for small
-  fleets and the only one that supports ``teardown_hook`` (a live
-  callable cannot cross a process boundary).
+- :class:`InProcessExecutor` — the boards, in schedule order, on one
+  worker thread in the calling process, sharing the prepped
+  :class:`ProfileStore` and the compiled signature automaton by
+  reference.  The right choice for small fleets and the only one that
+  supports ``teardown_hook`` (a live callable cannot cross a process
+  boundary).
 - :class:`MultiprocessExecutor` — boards sharded round-robin across
   one child process per shard, started for one run and joined before
   it returns.  A forked child inherits the spec and the offline prep
@@ -25,8 +26,8 @@ executor owns only placement and transport.
 
 :func:`resolve_executor` applies the default placement policy: fleets
 of :data:`MULTIPROCESS_AUTO_BOARDS` boards or more go multiprocess,
-smaller ones stay in-process where thread startup is free and the
-shared automaton is warm.
+smaller ones stay in-process where there is no process to start and
+the shared automaton is warm.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from repro.petalinux.kernel import KernelConfig
 
 WaveSink = Callable[[int, int, list[VictimOutcome]], None]
 """``on_wave(board_index, wave, outcomes)`` — invoked as each wave
-completes.  May be called from several threads at once (in-process
-executor); the multiprocess executor serializes calls through its
-parent-side queue drain.  Raising
+completes.  The in-process executor calls it from its worker threads
+(one by default); the multiprocess executor serializes calls through
+its parent-side queue drain.  Raising
 :class:`~repro.errors.CampaignInterrupted` from the sink aborts the
 run (the runtime's fault-injection point)."""
 
@@ -90,9 +91,9 @@ def resolve_executor(
     """Turn an executor name (or instance) into a ready executor.
 
     ``"auto"`` picks processes for fleets of
-    :data:`MULTIPROCESS_AUTO_BOARDS`+ boards, threads otherwise — and
-    always threads when a *teardown_hook* is present, since a live
-    callable cannot be shipped to a worker process.  Passing an
+    :data:`MULTIPROCESS_AUTO_BOARDS`+ boards, in-process otherwise —
+    and always in-process when a *teardown_hook* is present, since a
+    live callable cannot be shipped to a worker process.  Passing an
     executor instance returns it unchanged (after the hook check).
     """
     if not isinstance(executor, str):
@@ -141,7 +142,12 @@ def _populated_boards(
 
 
 class InProcessExecutor:
-    """One thread per board, sharing the prep objects by reference."""
+    """Boards on *max_workers* threads (default one), sharing the prep.
+
+    The boards are pure-Python simulations that serialize on the
+    interpreter lock, so extra threads only add hand-offs: the default
+    worker thread runs the boards one after another in schedule order.
+    """
 
     name = "inprocess"
 
@@ -161,7 +167,7 @@ class InProcessExecutor:
         on_wave: WaveSink,
         on_board_complete: BoardSink,
     ) -> None:
-        """Run the boards on a thread pool, streaming waves out.
+        """Run the boards on the worker threads, streaming waves out.
 
         When a sink raises (the runtime's interrupt point), boards not
         yet started are cancelled and boards already running stop at
@@ -189,9 +195,7 @@ class InProcessExecutor:
                 on_wave(index, wave, outcomes)
             on_board_complete(index)
 
-        pool = ThreadPoolExecutor(
-            max_workers=self._max_workers or len(populated)
-        )
+        pool = ThreadPoolExecutor(max_workers=self._max_workers or 1)
         futures = [pool.submit(run_board, index) for index in populated]
         try:
             for future in futures:

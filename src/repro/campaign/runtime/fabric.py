@@ -1,7 +1,7 @@
 """The distributed campaign fabric — one campaign, many hosts.
 
-:class:`CampaignRuntime` shards boards across local threads or
-processes; the fabric shards them across *hosts*.  A
+:class:`CampaignRuntime` runs boards on a local thread or shards them
+across local processes; the fabric shards them across *hosts*.  A
 :class:`FabricCoordinator` owns the run directory (spec, journal,
 spool, report) and exposes the campaign's boards as **leases** over a
 line-delimited JSON/TCP protocol; any number of

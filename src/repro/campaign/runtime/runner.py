@@ -18,7 +18,7 @@ The determinism chain, end to end:
    clock goes to ``telemetry.json`` only;
 4. the final report sorts outcomes by ``job_id``.
 
-So the canonical report is invariant across executors (threads vs
+So the canonical report is invariant across executors (in-process vs
 processes), across interruption points, and across resumes — the
 property the regression suite pins byte for byte.
 

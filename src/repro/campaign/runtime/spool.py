@@ -222,8 +222,9 @@ class DumpSpool:
                 self._put_hits += 1
             return SpoolEntry(digest, nbytes, deduplicated=True)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Scratch name is unique per writer (pid *and* thread: the
-        # in-process executor runs one board per thread on one pid),
+        # Scratch name is unique per writer (pid *and* thread: an
+        # in-process executor with several workers writes from several
+        # threads of one pid),
         # so racing writers never share a temp file and both renames
         # publish identical content.
         scratch = path.parent / (

@@ -972,8 +972,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="auto",
         choices=("auto", "inprocess", "multiprocess"),
-        help="board placement: threads, one process per board shard, or "
-        "auto (processes for fleets of 8+ boards)",
+        help="board placement: inprocess (the boards in turn on one "
+        "thread), one process per board shard, or auto (processes for "
+        "fleets of 8+ boards)",
     )
     campaign_run.add_argument(
         "--processes",

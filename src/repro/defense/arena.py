@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Sequence
 
 from repro.attack.addressing import AddressHarvester
@@ -59,6 +60,12 @@ class ScrapeDelayHook:
     scrubber gets its window, and keeps the latest per-kernel snapshot
     so the arena can report async scrub work, the backlog left when
     the campaign ended, and the kernels' host time in teardown.
+
+    Each kernel gets its own snapshot slot through a weak mapping:
+    boards run one after another, so a finished board's kernel can be
+    freed and the next one allocated at its address, and ``id()``
+    would let that board's snapshot overwrite the first.  The weak
+    keys keep no finished board alive.
     """
 
     def __init__(self, delay_ticks: int) -> None:
@@ -68,34 +75,43 @@ class ScrapeDelayHook:
             )
         self.delay_ticks = delay_ticks
         self._lock = threading.Lock()
-        self._snapshots: dict[int, tuple[int, int, float]] = {}
+        self._slots: "weakref.WeakKeyDictionary[PetaLinuxKernel, int]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._snapshots: list[tuple[int, int, float]] = []
 
     def __call__(self, kernel: PetaLinuxKernel) -> None:
         kernel.tick(self.delay_ticks)
+        snapshot = (
+            kernel.sanitizer.stats.frames_scrubbed_async,
+            kernel.sanitizer.pending,
+            kernel.teardown_seconds,
+        )
         with self._lock:
-            self._snapshots[id(kernel)] = (
-                kernel.sanitizer.stats.frames_scrubbed_async,
-                kernel.sanitizer.pending,
-                kernel.teardown_seconds,
-            )
+            slot = self._slots.get(kernel)
+            if slot is None:
+                self._slots[kernel] = len(self._snapshots)
+                self._snapshots.append(snapshot)
+            else:
+                self._snapshots[slot] = snapshot
 
     @property
     def frames_scrubbed_async(self) -> int:
         """Frames the background daemons scrubbed, fleet-wide."""
         with self._lock:
-            return sum(frames for frames, _, _ in self._snapshots.values())
+            return sum(frames for frames, _, _ in self._snapshots)
 
     @property
     def scrub_backlog(self) -> int:
         """Frames still queued when each board's last wave ended."""
         with self._lock:
-            return sum(pending for _, pending, _ in self._snapshots.values())
+            return sum(pending for _, pending, _ in self._snapshots)
 
     @property
     def teardown_seconds(self) -> float:
         """Host seconds the kernels spent terminating victims."""
         with self._lock:
-            return sum(spent for _, _, spent in self._snapshots.values())
+            return sum(spent for _, _, spent in self._snapshots)
 
 
 def prepare_weight_probe(

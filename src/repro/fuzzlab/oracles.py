@@ -43,6 +43,13 @@ The registry covers every cross-cutting contract the codebase claims:
     (:meth:`DumpSpool.open <repro.campaign.runtime.spool.DumpSpool.open>`)
     yields region maps, nonzero counts, and signature scores identical
     to the slurped-bytes read of the same object;
+``allocator_equivalence``
+    the sparse physical-ASLR frame pool of
+    :class:`~repro.mmu.frame_alloc.FrameAllocator` hands out, frees,
+    reports and drains exactly what the materialized reference pool
+    does, over a scenario-seeded alloc/free script per reuse policy,
+    on each of the scenario's boards and on a small range the script
+    drains;
 ``fabric_identity``
     the same spec served through the distributed fabric — a
     :class:`~repro.campaign.runtime.fabric.FabricCoordinator` leasing
@@ -66,6 +73,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.analysis.reference import (
+    ReferenceFrameAllocator,
     reference_classify_window,
     reference_extract_strings,
     reference_map_dump,
@@ -86,7 +94,12 @@ from repro.attack.identify import SignatureDatabase
 from repro.campaign.report import CampaignReport, OutcomeAccumulator
 from repro.campaign.schedule import CampaignSpec, VictimJob, build_schedule
 from repro.campaign.worker import VictimOutcome
+from repro.errors import OutOfMemoryError
 from repro.evaluation.metrics import nonzero_bytes
+from repro.hw.board import board_by_name
+from repro.mmu.frame_alloc import FrameAllocator, ReusePolicy
+from repro.mmu.paging import PAGE_SIZE
+from repro.petalinux.kernel import DEFAULT_RESERVED_FRAMES
 from repro.petalinux.sanitizer import SanitizePolicy
 from repro.utils.hexdump import HexDump
 from repro.utils.strings import extract_strings
@@ -104,6 +117,13 @@ are searched for alone and in the runs of two the reconstructor keeps."""
 
 STRING_MIN_LENGTHS = (4, 6)
 """``strings(1)``'s default run length and the profiler's."""
+
+ALLOCATOR_SCRIPT_STEPS = 48
+"""Alloc/free steps per replayed allocator script."""
+
+ALLOCATOR_DRAIN_FRAMES = 256
+"""Frames drained one by one after a script: the whole of a small
+range, enough of a board's to expose pool order and the RNG."""
 
 
 @dataclass(frozen=True)
@@ -753,3 +773,100 @@ def _fabric_identity(world: ScenarioWorld) -> list[str]:
             f"{_digest(world.baseline_report_bytes)}"
         )
     return problems
+
+
+# -- 10. sparse vs materialized physical-ASLR frame pool ----------------------
+
+
+@oracle("allocator_equivalence")
+def _allocator_equivalence(world: ScenarioWorld) -> list[str]:
+    """The sparse frame pool must behave exactly as the materialized one.
+
+    Replays one scenario-seeded alloc/free script per reuse policy on a
+    :class:`FrameAllocator` and a :class:`ReferenceFrameAllocator`, over
+    the user frame range of each of the scenario's boards and over a
+    small range the script drains and refills.
+    """
+    rng = world.sampling_rng(salt=10)
+    small = rng.randint(2, 96)
+    board_frames = sorted(
+        {
+            board_by_name(name).dram_size // PAGE_SIZE
+            for name in world.scenario.board_names
+        }
+    )
+    geometries = [
+        (total, DEFAULT_RESERVED_FRAMES) for total in board_frames
+    ] + [(small, rng.randrange(small))]
+    problems = []
+    for total, base in geometries:
+        for policy in ReusePolicy:
+            seed = rng.randrange(1 << 16)
+            script = [
+                (rng.random() < 0.6, rng.randint(1, 16))
+                for _ in range(ALLOCATOR_SCRIPT_STEPS)
+            ]
+            probes = [base - 1, base, total - 1, total] + [
+                rng.randrange(base, total) for _ in range(SAMPLED_WINDOWS)
+            ]
+            fast = _allocation_trace(
+                FrameAllocator(total, base, policy, seed), script, probes
+            )
+            slow = _allocation_trace(
+                ReferenceFrameAllocator(total, base, policy, seed),
+                script,
+                probes,
+            )
+            if fast != slow:
+                step = next(
+                    (
+                        index
+                        for index, (one, other) in enumerate(zip(fast, slow))
+                        if one != other
+                    ),
+                    min(len(fast), len(slow)),
+                )
+                problems.append(
+                    f"{policy.value} pool over frames [{base}, {total}), "
+                    f"seed {seed}: diverges from the materialized reference "
+                    f"at observation {step}"
+                )
+    return problems
+
+
+def _allocation_trace(
+    allocator: FrameAllocator,
+    script: list[tuple[bool, int]],
+    probes: list[int],
+) -> list:
+    """What *script* lets one observe of *allocator*.
+
+    Each step is an allocation of *count* frames (skipped when fewer
+    are free) or a free of held block ``count % len(held)``.  The trace
+    holds every allocation's frames, ``free_frames()`` after every
+    step, ``is_free`` of the probes and of every frame handed out, and
+    a frame-by-frame drain.  An allocator error ends the trace as its
+    last observation: a pool that hands out a held frame shows up as a
+    wild free.
+    """
+    trace: list = []
+    held: list[list[int]] = []
+    handed_out: set[int] = set()
+    try:
+        for step, (allocate, count) in enumerate(script):
+            if allocate and count <= allocator.free_frames():
+                frames = allocator.allocate(count, owner=step)
+                held.append(frames)
+                handed_out.update(frames)
+                trace.append(frames)
+            elif not allocate and held:
+                allocator.free(held.pop(count % len(held)))
+            trace.append(allocator.free_frames())
+        trace.append(
+            [allocator.is_free(frame) for frame in probes + sorted(handed_out)]
+        )
+        drain = min(allocator.free_frames(), ALLOCATOR_DRAIN_FRAMES)
+        trace.append([allocator.allocate(1)[0] for _ in range(drain)])
+    except (OutOfMemoryError, ValueError) as error:
+        trace.append(f"{type(error).__name__}: {error}")
+    return trace

@@ -23,7 +23,8 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import OutOfMemoryError
 
@@ -44,6 +45,52 @@ class FrameAllocatorStats:
     frees: int = 0
     frames_allocated: int = 0
     frames_freed: int = 0
+
+
+class _SparsePool:
+    """Physical ASLR's swap-remove pool, storing only the positions changed.
+
+    Position ``i`` of an untouched pool holds ``base + i``, so a fresh
+    pool over a ZCU102's 655,360 user frames is a small dict rather than
+    a list and a set of that size.  :meth:`take` makes the same
+    ``randrange(len(pool))`` draws as a materialized list that
+    swap-removes, and hands out the same frames
+    (:class:`repro.analysis.reference.ReferenceFrameAllocator`).
+    """
+
+    __slots__ = ("_base", "_size", "_moved")
+
+    def __init__(self, base: int, size: int) -> None:
+        self._base = base
+        self._size = size
+        self._moved: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def extend(self, frames: list[int]) -> None:
+        """Append *frames* at the pool's end, in order."""
+        size = self._size
+        self._moved.update(zip(range(size, size + len(frames)), frames))
+        self._size = size + len(frames)
+
+    def take(self, count: int, randrange: Callable[[int], int]) -> list[int]:
+        """Draw *count* frames, swapping the last frame into each hole."""
+        moved = self._moved
+        base = self._base
+        size = self._size
+        frames = []
+        for _ in range(count):
+            index = randrange(size)
+            size -= 1
+            last = moved.pop(size, base + size)
+            if index == size:
+                frames.append(last)
+            else:
+                frames.append(moved.get(index, base + index))
+                moved[index] = last
+        self._size = size
+        return frames
 
 
 class FrameAllocator:
@@ -76,17 +123,18 @@ class FrameAllocator:
         # RANDOM models physical ASLR: placement must be unpredictable
         # for *first* allocations too, so the whole frame range starts
         # in the (randomly drawn-from) pool and the watermark is spent.
-        # The pool is a list (LIFO takes a slice off its end, RANDOM
-        # swap-removes) except under FIFO, which pops from the front.
-        self._free_pool: "deque[int] | list[int]" = (
-            deque() if policy is ReusePolicy.FIFO else []
-        )
+        # LIFO takes a slice off a list's end, FIFO pops a deque's
+        # front and RANDOM swap-removes from a sparse pool.  Every frame
+        # below the watermark is either owned or pooled.
+        self._free_pool: "deque[int] | list[int] | _SparsePool"
         if policy is ReusePolicy.RANDOM:
             self._watermark = total_frames
-            self._free_pool.extend(range(base_frame, total_frames))
+            self._free_pool = _SparsePool(
+                base_frame, total_frames - base_frame
+            )
         else:
             self._watermark = base_frame
-        self._free_set: set[int] = set(self._free_pool)
+            self._free_pool = deque() if policy is ReusePolicy.FIFO else []
         self._owner: dict[int, int | None] = {}
         self._last_owner: dict[int, int] = {}
         self.stats = FrameAllocatorStats()
@@ -136,16 +184,7 @@ class FrameAllocator:
         elif self._policy is ReusePolicy.FIFO:
             frames = [pool.popleft() for _ in range(count)]
         else:
-            # Swap-remove keeps random draws O(1) even with the whole
-            # frame range pooled (the physical-ASLR configuration).
-            randrange = self._rng.randrange
-            frames = []
-            for _ in range(count):
-                index = randrange(len(pool))
-                frames.append(pool[index])
-                pool[index] = pool[-1]
-                pool.pop()
-        self._free_set.difference_update(frames)
+            frames = pool.take(count, self._rng.randrange)
         return frames
 
     def allocate(self, count: int, owner: int | None = None) -> list[int]:
@@ -194,10 +233,12 @@ class FrameAllocator:
         for frame in frames:
             del self._owner[frame]
         self._free_pool.extend(frames)
-        self._free_set.update(unique)
         self.stats.frees += 1
         self.stats.frames_freed += len(frames)
 
     def is_free(self, frame: int) -> bool:
         """Whether *frame* is in the reuse pool (freed, residue intact)."""
-        return frame in self._free_set
+        return (
+            self._base_frame <= frame < self._watermark
+            and frame not in self._owner
+        )

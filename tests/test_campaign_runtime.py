@@ -16,6 +16,7 @@ The acceptance claims, pinned:
 
 import gc
 import json
+import threading
 import weakref
 from dataclasses import asdict
 
@@ -337,6 +338,23 @@ class TestExecutorEquivalence:
         one = run_campaign(SPEC, executor="multiprocess", processes=1)
         three = run_campaign(SPEC, executor="multiprocess", processes=3)
         assert one.to_json() == three.to_json()
+
+    def test_inprocess_runs_every_board_on_one_thread(self):
+        """The default in-process executor runs the boards one after
+        another on one worker thread, and reports what four threads do."""
+        spec = CampaignSpec(boards=4, victims=8, seed=5)
+        threads: list[int] = []
+
+        def record_thread(kernel) -> None:
+            threads.append(threading.get_ident())
+
+        one = run_campaign(
+            spec, executor=InProcessExecutor(), teardown_hook=record_thread
+        )
+        assert len(threads) == spec.victims // spec.wave_size
+        assert len(set(threads)) == 1
+        four = run_campaign(spec, executor=InProcessExecutor(max_workers=4))
+        assert one.to_json() == four.to_json()
 
     def test_resolve_auto_small_fleet_is_threads(self):
         chosen = resolve_executor(SPEC, "auto")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -146,6 +147,39 @@ class TestDefenseHooks:
     def test_scrape_delay_hook_rejects_negative(self):
         with pytest.raises(ValueError):
             ScrapeDelayHook(-1)
+
+    def test_scrape_delay_hook_counts_a_kernel_at_a_freed_address(self):
+        """A board's kernel freed and its address reused by the next
+        board's must not overwrite the first board's snapshot."""
+
+        class StubKernel:
+            def __init__(self, frames: int) -> None:
+                self.sanitizer = SimpleNamespace(
+                    stats=SimpleNamespace(frames_scrubbed_async=frames),
+                    pending=1,
+                )
+                self.teardown_seconds = 0.5
+
+            def tick(self, ticks: int) -> None:
+                pass
+
+        hook = ScrapeDelayHook(0)
+        first = StubKernel(10)
+        hook(first)
+        freed_address = id(first)
+        del first
+        kept = []
+        for _ in range(10_000):
+            candidate = StubKernel(20)
+            if id(candidate) == freed_address:
+                break
+            kept.append(candidate)
+        else:
+            pytest.skip("no stub landed at the freed kernel's address")
+        hook(candidate)
+        assert hook.frames_scrubbed_async == 30
+        assert hook.scrub_backlog == 2
+        assert hook.teardown_seconds == 1.0
 
     def test_teardown_hook_fires_per_wave(self):
         ticks_seen = []

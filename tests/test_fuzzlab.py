@@ -153,6 +153,7 @@ class TestScenarioValidation:
 class TestOracleRegistry:
     def test_expected_oracles_registered(self):
         assert oracle_names() == (
+            "allocator_equivalence",
             "backing_equivalence",
             "defense_monotonicity",
             "extraction_equivalence",
@@ -203,6 +204,24 @@ class TestOracleRegistry:
         assert "scan_equivalence" in verdict.violated_oracles
         assert any(
             "strings (runs of >= 6)" in violation.message
+            for violation in verdict.violations
+        )
+
+    def test_allocator_equivalence_catches_a_diverging_pool(
+        self, monkeypatch
+    ):
+        from repro.mmu.frame_alloc import _SparsePool
+
+        original = _SparsePool.take
+
+        def reversed_draws(self, count, randrange):
+            return original(self, count, randrange)[::-1]
+
+        monkeypatch.setattr(_SparsePool, "take", reversed_draws)
+        verdict = run_scenario(small_scenario())
+        assert verdict.violated_oracles == ("allocator_equivalence",)
+        assert any(
+            "random pool over frames" in violation.message
             for violation in verdict.violations
         )
 

@@ -1,5 +1,7 @@
 """Unit tests for the frame allocator — determinism and residue exposure."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import OutOfMemoryError
@@ -162,6 +164,21 @@ class TestReusePolicies:
         first = allocator.allocate(30)
         second = allocator.allocate(30)
         assert not set(first) & set(second)
+
+    def test_random_policy_boot_materializes_no_frame_range(self):
+        """Physical ASLR pools a ZCU102's 655,360 user frames without
+        building a list or a set of them."""
+        tracemalloc.start()
+        try:
+            FrameAllocator(
+                total_frames=1 << 20,
+                base_frame=0x60000,
+                policy=ReusePolicy.RANDOM,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_policy_property(self):
         allocator = FrameAllocator(total_frames=8, policy=ReusePolicy.FIFO)

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.reference import ReferenceFrameAllocator
 from repro.hw.dram import PAGE_SIZE, DramDevice
 from repro.mmu.frame_alloc import FrameAllocator, ReusePolicy
 from repro.mmu.pagemap import PagemapEntry, decode_entry, encode_entry
@@ -148,17 +149,29 @@ def test_frame_allocator_never_double_allocates(script, policy):
     assert allocator.allocated_frames() == len(outstanding)
 
 
+ZCU102_FRAMES = (1 << 20, 0x60000)
+"""A ZCU102's frame count and the kernel-reserved base of its user range."""
+
+
 @given(
     script=alloc_free_scripts(),
     policy=st.sampled_from(list(ReusePolicy)),
     seed=st.integers(min_value=0, max_value=2**16),
+    geometry=st.sampled_from([(128, 0), (128, 100), ZCU102_FRAMES]),
+    reference=st.sampled_from([FrameAllocator, ReferenceFrameAllocator]),
 )
-@settings(max_examples=60)
-def test_frame_allocator_batch_equals_single_frame_calls(script, policy, seed):
-    """allocate(n) hands out, and leaves behind, what n allocate(1) calls do."""
-    batched = FrameAllocator(total_frames=128, policy=policy, seed=seed)
-    single = FrameAllocator(total_frames=128, policy=policy, seed=seed)
+@settings(max_examples=80)
+def test_frame_allocator_batch_equals_single_frame_calls(
+    script, policy, seed, geometry, reference
+):
+    """allocate(n) hands out, and leaves behind, what n allocate(1) calls
+    do, whether those run on the sparse pool or on the materialized
+    reference pool."""
+    total, base = geometry
+    batched = FrameAllocator(total, base, policy=policy, seed=seed)
+    single = reference(total, base, policy=policy, seed=seed)
     held: list[list[int]] = []
+    handed_out: set[int] = set()
     for step, (operation, count) in enumerate(script):
         if operation == "alloc":
             if count > batched.free_frames():
@@ -166,19 +179,28 @@ def test_frame_allocator_batch_equals_single_frame_calls(script, policy, seed):
             frames = batched.allocate(count, owner=step)
             assert frames == [single.allocate(1, owner=step)[0] for _ in range(count)]
             held.append(frames)
+            handed_out.update(frames)
         elif held:
             frames = held.pop()
             batched.free(frames)
             single.free(frames)
-    for frame in range(128):
+        assert batched.free_frames() == single.free_frames()
+    probes = (
+        range(total)
+        if total <= 128
+        else sorted(handed_out | {base - 1, base, total - 1, total})
+    )
+    for frame in probes:
         assert batched.owner_of(frame) == single.owner_of(frame)
         assert batched.last_owner_of(frame) == single.last_owner_of(frame)
         assert batched.is_free(frame) == single.is_free(frame)
-    # Draining both frame by frame exposes pool order, watermark and RNG.
+    # Draining both frame by frame exposes pool order, watermark and RNG
+    # (all of a small range, the head of a ZCU102's).
     remaining = batched.free_frames()
     assert remaining == single.free_frames()
-    drained = [batched.allocate(1)[0] for _ in range(remaining)]
-    assert drained == [single.allocate(1)[0] for _ in range(remaining)]
+    drain = min(remaining, 512)
+    drained = [batched.allocate(1)[0] for _ in range(drain)]
+    assert drained == [single.allocate(1)[0] for _ in range(drain)]
 
 
 @given(policy=st.sampled_from(list(ReusePolicy)))

@@ -15,10 +15,15 @@ plus a multi-model signature database, then:
    strategy, and the mmap-backed spool read must score identically to
    the slurped read — and the offline-prep lane: coalesced
    ``prepare_offline`` must give the word-mode profiles and signature
-   database, and the coalesced weight-probe layout the word-mode one.
+   database, and the coalesced weight-probe layout the word-mode one —
+   and the physical-ASLR lane: a ZCU102 ``RANDOM`` frame allocator must
+   draw the same frames from its sparse pool as from the materialized
+   reference pool.
    **Any divergence exits nonzero without timing anything.**
 2. times fast vs. reference (best-of-``--repeats`` wall clock), offline
-   prep with coalesced vs. word reads, and an end-to-end fleet
+   prep with coalesced vs. word reads, a physical-ASLR boot with the
+   sparse vs. materialized pool (plus each one's ``tracemalloc``
+   peak), and an end-to-end fleet
    campaign — in-process and multiprocess twins on the same 8-board
    spec, plus an ``explore`` lane timing a bounded evolutionary search
    (generations/s through the real campaign engine) — and writes the
@@ -41,6 +46,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +55,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.analysis.reference import (  # noqa: E402
+    ReferenceFrameAllocator,
     reference_extract_strings,
     reference_map_dump,
     reference_match,
@@ -70,6 +77,10 @@ from repro.campaign.runtime.executors import (  # noqa: E402
     MultiprocessExecutor,
 )
 from repro.evaluation.scenarios import BoardSession  # noqa: E402
+from repro.hw.board import ZCU102  # noqa: E402
+from repro.mmu.frame_alloc import FrameAllocator, ReusePolicy  # noqa: E402
+from repro.mmu.paging import PAGE_SIZE  # noqa: E402
+from repro.petalinux.kernel import DEFAULT_RESERVED_FRAMES  # noqa: E402
 from repro.utils.buffers import BufferPool  # noqa: E402
 from repro.utils.strings import extract_strings  # noqa: E402
 
@@ -274,6 +285,48 @@ def verify_offline_prep(spec: CampaignSpec) -> list[str]:
     return failures
 
 
+ASLR_BLOCKS = 32
+ASLR_BLOCK_FRAMES = 36
+"""The ``aslr_boot`` script's blocks and their size in frames."""
+
+
+def aslr_boot(allocator_class: type[FrameAllocator]) -> list[int]:
+    """Boot a ZCU102 physical-ASLR allocator and draw a fixed script.
+
+    Allocates :data:`ASLR_BLOCKS` blocks, frees every other one and
+    draws that many blocks again, the churn of a board's first waves;
+    returns every frame drawn, in order.
+    """
+    allocator = allocator_class(
+        ZCU102.dram_size // PAGE_SIZE,
+        DEFAULT_RESERVED_FRAMES,
+        ReusePolicy.RANDOM,
+        seed=SEED,
+    )
+    blocks = [
+        allocator.allocate(ASLR_BLOCK_FRAMES, owner=pid)
+        for pid in range(ASLR_BLOCKS)
+    ]
+    for block in blocks[::2]:
+        allocator.free(block)
+    blocks += [
+        allocator.allocate(ASLR_BLOCK_FRAMES, owner=ASLR_BLOCKS + pid)
+        for pid in range(ASLR_BLOCKS // 2)
+    ]
+    return [frame for block in blocks for frame in block]
+
+
+def traced_peak_mib(fn, *args) -> float:
+    """Peak MiB that ``tracemalloc`` saw allocated during one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1024**2
+
+
 def host_info() -> dict:
     """The host the numbers were taken on: cores, CPU, library versions."""
     cpu = platform.processor() or "unknown"
@@ -342,6 +395,11 @@ def main() -> int:
         pooled_dump, reference_dump, spool, entry.sha256, dump
     )
     failures += verify_offline_prep(prep_spec)
+    if aslr_boot(FrameAllocator) != aslr_boot(ReferenceFrameAllocator):
+        failures.append(
+            "aslr_boot: the sparse physical-ASLR pool drew different "
+            "frames than the materialized reference pool"
+        )
     pooled_dump.release()
     if failures:
         for failure in failures:
@@ -397,18 +455,18 @@ def main() -> int:
     # hoisted out of the timed region; every multiprocess run forks its
     # own shard processes and joins them, so the lane prices process
     # startup the way every campaign pays it.  Runs are paired
-    # (threads then processes, back to back) and the speedup is the
+    # (in-process then processes, back to back) and the speedup is the
     # median of per-pair ratios, so machine-load drift hits both lanes
     # alike instead of faking a regression either way.
     spec = CampaignSpec(boards=8, victims=32, seed=SEED % 10_000)
     campaign_profiles, campaign_database = prepare_offline(spec)
-    threads_executor = InProcessExecutor()
+    inprocess_executor = InProcessExecutor()
     mp_executor = MultiprocessExecutor()
 
     def run_inprocess() -> object:
         return run_campaign(
             spec, profiles=campaign_profiles, database=campaign_database,
-            executor=threads_executor,
+            executor=inprocess_executor,
         )
 
     def run_multiprocess() -> object:
@@ -419,17 +477,17 @@ def main() -> int:
 
     report = run_inprocess()  # warm caches
     mp_report = run_multiprocess()
-    thread_walls: list[float] = []
+    inprocess_walls: list[float] = []
     mp_walls: list[float] = []
     pair_ratios: list[float] = []
     for _ in range(args.repeats + 2):
         started = time.perf_counter()
         report = run_inprocess()
-        thread_walls.append(time.perf_counter() - started)
+        inprocess_walls.append(time.perf_counter() - started)
         started = time.perf_counter()
         mp_report = run_multiprocess()
         mp_walls.append(time.perf_counter() - started)
-        pair_ratios.append(thread_walls[-1] / mp_walls[-1])
+        pair_ratios.append(inprocess_walls[-1] / mp_walls[-1])
     mp_speedup = statistics.median(pair_ratios)
 
     def campaign_lane(report, walls: list[float]) -> dict:
@@ -459,6 +517,15 @@ def main() -> int:
     started = time.perf_counter()
     explore_result = evolve(explore_config)
     explore_wall = time.perf_counter() - started
+
+    # The aslr_boot lane runs after the campaign twins: the
+    # materialized pool builds and drops 73 MiB, and tracemalloc's
+    # bookkeeping stays resident after it stops (about 100 MiB), which
+    # every forked shard of a later multiprocess run would inherit.
+    aslr_fast, aslr_draws = best_of(args.repeats, aslr_boot, FrameAllocator)
+    aslr_ref, _ = best_of(args.repeats, aslr_boot, ReferenceFrameAllocator)
+    aslr_fast_mib = traced_peak_mib(aslr_boot, FrameAllocator)
+    aslr_ref_mib = traced_peak_mib(aslr_boot, ReferenceFrameAllocator)
 
     def lane(fast: float, reference: float, lane_mib: float = mib) -> dict:
         return {
@@ -503,7 +570,19 @@ def main() -> int:
             "speedup": round(prep_ref / prep_fast, 2),
             "mode": "coalesced vs word reads, profiles + probe layout",
         },
-        "campaign": campaign_lane(report, thread_walls),
+        "aslr_boot": {
+            "board": ZCU102.name,
+            "pooled_frames": ZCU102.dram_size // PAGE_SIZE
+            - DEFAULT_RESERVED_FRAMES,
+            "frames_drawn": len(aslr_draws),
+            "fast_seconds": round(aslr_fast, 6),
+            "reference_seconds": round(aslr_ref, 6),
+            "speedup": round(aslr_ref / aslr_fast, 2),
+            "fast_traced_mib": round(aslr_fast_mib, 3),
+            "reference_traced_mib": round(aslr_ref_mib, 3),
+            "mode": "sparse vs materialized RANDOM pool, boot + draws",
+        },
+        "campaign": campaign_lane(report, inprocess_walls),
         "campaign_multiprocess": {
             **campaign_lane(mp_report, mp_walls),
             "speedup_vs_inprocess": round(mp_speedup, 2),
@@ -541,6 +620,9 @@ def main() -> int:
           f"({payload['spool_read']['fast_mib_per_s']} MiB/s mmap)")
     print(f"offline_prep: {payload['offline_prep']['speedup']:>4.2f}x "
           f"({payload['offline_prep']['fast_seconds']} s coalesced)")
+    print(f"aslr_boot: {payload['aslr_boot']['speedup']:>7.2f}x "
+          f"({payload['aslr_boot']['fast_traced_mib']} MiB sparse, "
+          f"{payload['aslr_boot']['reference_traced_mib']} MiB materialized)")
     print(f"campaign : {payload['campaign']['victims_per_second']} victims/s")
     print(f"campaign (multiprocess): "
           f"{payload['campaign_multiprocess']['victims_per_second']} victims/s "
