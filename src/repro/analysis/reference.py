@@ -6,21 +6,25 @@ and per-pixel convolution that :class:`repro.utils.hexdump.HexDump`
 and :mod:`repro.vitis.ops` replaced with array operations, the
 per-byte ``strings`` scan that
 :func:`repro.utils.strings.extract_strings` replaced with one regex
-pass, and the materialized physical-ASLR frame pool that
+pass, the materialized physical-ASLR frame pool that
 :class:`repro.mmu.frame_alloc.FrameAllocator` replaced with a sparse
-one — kept verbatim so the fast paths can always be held to them:
+one, and the one-file-per-object writer that
+:class:`repro.campaign.runtime.spool.DumpSpool` replaced with segment
+appends — kept verbatim so the fast paths can always be held to them:
 
 - ``tests/test_analysis_scan.py`` asserts byte-identical region maps
   and score-identical signature matches over randomized windows,
   ``tests/test_kernel_equivalence.py`` identical marker rows,
   convolution outputs and string hits, and ``tests/test_properties.py``
-  identical frames over alloc/free scripts;
+  identical frames over alloc/free scripts, and
+  ``tests/test_spool_segments.py`` the same objects from both spool
+  writers (and an old-layout run directory resuming under segments);
 - the ``scan_equivalence`` and ``allocator_equivalence`` fuzzlab
   oracles replay each scenario's inputs through both sides;
-- ``tools/bench_runner.py`` re-verifies the scan-core, string and
-  allocator equivalences on its fixed inputs (exiting nonzero on any
-  divergence) and times fast vs. reference to record the speedup
-  trajectory in ``BENCH_analysis.json``.
+- ``tools/bench_runner.py`` re-verifies the scan-core, string,
+  allocator and spool-writer equivalences on its fixed inputs (exiting
+  nonzero on any divergence) and times fast vs. reference to record
+  the speedup trajectory in ``BENCH_analysis.json``.
 
 Nothing here is wired into a production path; importing this module
 costs nothing at attack time.
@@ -29,11 +33,14 @@ costs nothing at attack time.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 
 import numpy as np
 
 from repro.attack.carving import Region, RegionKind
+from repro.campaign.runtime.spool import DumpSpool, SpoolEntry
 from repro.mmu.frame_alloc import FrameAllocator, ReusePolicy
 from repro.utils.strings import StringHit
 from repro.vitis.ops import _requantize
@@ -279,3 +286,33 @@ class ReferenceFrameAllocator(FrameAllocator):
     def is_free(self, frame: int) -> bool:
         """Whether *frame* is in the reuse pool, by set membership."""
         return frame in self._free_set
+
+
+class ReferenceDumpSpool(DumpSpool):
+    """:class:`DumpSpool` filing one file per object, as it did before
+    segments: ``objects/<aa>/<sha256>.bin``, each written to a temp
+    file and published with an atomic rename.  Reads are inherited —
+    the segment spool reads this layout too, which is how run
+    directories written before segments resume.
+    """
+
+    def _store(self, digest: str, data, nbytes: int) -> SpoolEntry:
+        path = self._legacy_path(digest)
+        if path.exists():
+            with self._lock:
+                self._put_hits += 1
+            return SpoolEntry(digest, nbytes, deduplicated=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # Scratch name is unique per writer (pid *and* thread: an
+        # in-process executor with several workers writes from several
+        # threads of one pid),
+        # so racing writers never share a temp file and both renames
+        # publish identical content.
+        scratch = path.parent / (
+            f"{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        scratch.write_bytes(data)
+        os.replace(scratch, path)
+        with self._lock:
+            self._put_misses += 1
+        return SpoolEntry(digest, nbytes, deduplicated=False)

@@ -49,12 +49,13 @@ from repro.utils.hexdump import HexDump
 if TYPE_CHECKING:
     from repro.utils.buffers import BufferPool
 
-DumpBuffer = bytes | bytearray | mmap.mmap
-"""Buffer types a :class:`ScrapedDump` may be backed by.  All three
-support ``find``, slicing and the buffer protocol, which is the
-contract every downstream consumer (carving, identify, hexdump,
-reconstruction) relies on; plain ``memoryview`` lacks ``find`` and is
-therefore not a valid backing."""
+DumpBuffer = bytes | bytearray | mmap.mmap | memoryview
+"""Buffer types a :class:`ScrapedDump` may be backed by.  All four
+support slicing and the buffer protocol, which carving, identification
+and the scan core rely on.  A ``memoryview`` (a spool object's mapped
+slice, from :meth:`~repro.campaign.runtime.spool.MappedDump.to_dump`)
+lacks ``find``: :class:`~repro.utils.hexdump.HexDump` copies it, and
+the ``find``-based profiling helpers take freshly scraped dumps only."""
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
@@ -88,8 +89,9 @@ class ScrapedDump:
 
     ``data`` is any :data:`DumpBuffer`: ``bytes`` from the per-page
     strategies, a (possibly pooled) ``bytearray`` from the coalesced
-    path, or an ``mmap`` when a worker rehydrates a dump from the
-    campaign spool.  Analysis never copies it either way.
+    path, or a read-only ``memoryview`` of a mapping when a dump is
+    rehydrated from the campaign spool.  Analysis never copies it
+    either way.
     """
 
     pid: int
@@ -125,7 +127,7 @@ class ScrapedDump:
         on-disk spool under this digest
         (:class:`repro.campaign.runtime.DumpSpool`), so identical
         residue — e.g. the all-zero dumps a zero-on-free kernel yields
-        — is stored once fleet-wide.  Computed lazily and cached.
+        — is stored once per spool writer.  Computed lazily and cached.
         """
         if self._sha256 is None:
             if self.released:

@@ -14,9 +14,9 @@ service-grade runtime:
   outcomes back over a queue; :func:`resolve_executor` applies the
   small-fleet fallback policy.
 - :mod:`~repro.campaign.runtime.spool` — :class:`DumpSpool`, the
-  content-addressed on-disk store every scraped dump lands in the
-  moment step-4 analysis finishes, keeping resident memory flat
-  regardless of campaign size.
+  content-addressed on-disk store every scraped dump is appended to
+  the moment step-4 analysis finishes (one segment file per writer),
+  keeping resident memory flat regardless of campaign size.
 - :mod:`~repro.campaign.runtime.checkpoint` — :class:`RunDirectory`:
   the spec, the per-wave outcome journal, telemetry, and the final
   report, which holds no host timing and so comes out the same bytes

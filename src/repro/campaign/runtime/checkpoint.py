@@ -35,6 +35,7 @@ is a pure function of ``(spec, board_index)``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -156,9 +157,10 @@ class RunDirectory:
         """
         return self._root / "leases.json"
 
-    @property
+    @functools.cached_property
     def spool(self) -> DumpSpool:
-        """The run's content-addressed dump store."""
+        """The run's content-addressed dump store: one handle (one
+        writer) per run directory object."""
         return DumpSpool(self._root / "spool")
 
     # -- spec ----------------------------------------------------------------

@@ -269,8 +269,9 @@ class MultiprocessExecutor:
 
         The parent provisions nothing: each shard rebuilds the
         schedule, boots only its own boards, and writes dumps straight
-        into the shared spool (content-addressed writes are
-        concurrency-safe).  Sinks run on the parent thread in
+        into the shared spool through a handle of its own (one
+        segment per shard, so writers never share a file).  Sinks run
+        on the parent thread in
         queue-arrival order; a sink raising, or a shard failing,
         aborts the run and terminates the shards — exactly the crash
         the checkpoint journal is designed to survive.

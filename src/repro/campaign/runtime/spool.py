@@ -12,21 +12,38 @@ campaign schedules.
 Layout on disk::
 
     <root>/
-      objects/<aa>/<sha256>.bin   raw dump bytes (aa = first digest byte)
+      segments/<writer>.seg       append-only records, one file per writer
+      objects/<aa>/<sha256>.bin   one file per object (the layout before
+                                  segments; read, never written)
       manifest.json               job_id -> digest map, written by the
                                   runtime when the campaign completes
 
-Content addressing buys three operational properties:
+A *writer* is one :class:`DumpSpool` handle in one process: the
+in-process executor's board thread(s) share the run directory's
+handle, each multiprocess shard opens its own, and so do the fabric
+coordinator and the analysis daemon.  Filing a dump is one append to
+the writer's segment — a record of a magic tag, the 32-byte digest, a
+little-endian u64 length, then the bytes — instead of a directory, a
+temp file and a rename per object.
 
-- **deduplication** — identical residue (every all-zero dump a
-  zero-on-free kernel yields, co-residents with identical heaps) is
-  stored once fleet-wide;
-- **idempotent writes** — re-running a board after a crash re-puts the
-  same objects under the same names, so resume never corrupts or
-  duplicates the store (writes go through a temp file + atomic
-  ``os.replace``, safe under concurrent multiprocess workers);
-- **verifiability** — any object can be checked against its own file
-  name.
+- **Deduplication** is exact within one writer: a handle never files
+  the same digest twice (every all-zero dump a zero-on-free kernel
+  yields is stored once per writer).  Two writers may each store a
+  copy of the same bytes; :meth:`DumpSpool.digests`,
+  :meth:`DumpSpool.total_bytes` and the manifest count it once.
+- **Torn tails** — a record whose header or body runs past the end of
+  its segment (a writer killed mid-append) is skipped, exactly as the
+  journal skips a torn trailing line: its digest reads as missing, and
+  a resumed board files it again.  A failed append retires the
+  segment, so a writer never appends after its own torn record.
+- **Verifiability** — every record carries its digest; any object can
+  be checked against it.
+
+Reads go through an in-memory index from digest to (segment, offset,
+length), filled by the handle's own appends and, on a miss, by
+scanning the record headers other writers appended since the last
+scan.  Objects in the old per-file layout stay readable, so run
+directories written before segments still resume.
 
 >>> import tempfile
 >>> from repro.attack.extraction import ScrapedDump
@@ -46,12 +63,31 @@ import hashlib
 import json
 import mmap
 import os
+import re
+import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.attack.extraction import ScrapedDump
 from repro.errors import SpoolClosedError
+
+_MAGIC = b"DSG1"
+_HEADER = struct.Struct("<4s32sQ")
+"""A record header: magic tag, raw SHA-256 digest, u64 body length."""
+
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def _check_digest(sha256: object) -> None:
+    """Refuse anything but 64 lowercase hex characters.
+
+    Digests arrive from clients of the fabric and the analysis daemon;
+    refusing anything else here keeps a name like ``../../secret``
+    from ever reaching a file path.
+    """
+    if not isinstance(sha256, str) or _DIGEST.fullmatch(sha256) is None:
+        raise ValueError(f"not a SHA-256 hex digest: {sha256!r}")
 
 
 @dataclass(frozen=True)
@@ -61,42 +97,51 @@ class SpoolEntry:
     sha256: str
     nbytes: int
     deduplicated: bool
-    """True when an identical dump was already in the store."""
+    """True when the handle already held an identical dump — always so
+    for one it filed itself."""
 
 
 class MappedDump:
     """A read-only memory-mapped view of one spooled object.
 
-    Obtained from :meth:`DumpSpool.open`.  ``data`` is the raw mmap
-    (``b""`` for zero-length objects — empty files cannot be mapped),
-    which every analysis path consumes zero-copy: carving, entropy and
+    Obtained from :meth:`DumpSpool.open`.  ``data`` is a read-only
+    ``memoryview`` slice of a mapping of the object's segment (``b""``
+    for zero-length objects — there is nothing to map), which every
+    analysis path consumes zero-copy: carving, entropy and
     identification scan the page cache directly, never a slurped copy.
 
     The lifecycle is explicit: :meth:`close` (or the context manager)
-    unmaps and closes the file descriptor, and any access afterwards
-    raises :class:`~repro.errors.SpoolClosedError` instead of touching
-    a stale mapping.  Closing while a live buffer export exists (e.g.
-    a numpy array still aliasing the map) raises ``BufferError`` —
-    drop the arrays first; the scan paths only hold views for the
-    duration of a call.
+    releases the view and unmaps, and any access afterwards raises
+    :class:`~repro.errors.SpoolClosedError` instead of touching a stale
+    mapping.  Closing while a live buffer export exists (e.g. a numpy
+    array still aliasing the view) raises ``BufferError`` and leaves
+    the handle open — drop the arrays first; the scan paths only hold
+    views for the duration of a call.
 
     >>> with spool.open(digest) as mapped:          # doctest: +SKIP
     ...     regions = cartographer.map_dump(mapped.data)
     """
 
-    def __init__(self, path: Path, sha256: str) -> None:
+    def __init__(
+        self, path: Path, offset: int, nbytes: int, sha256: str
+    ) -> None:
         self._sha256 = sha256
+        self._nbytes = nbytes
         self._closed = False
-        size = path.stat().st_size
-        if size == 0:
-            self._file = None
-            self._map: mmap.mmap | bytes = b""
-        else:
-            self._file = path.open("rb")
-            self._map = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        self._nbytes = size
+        self._map: mmap.mmap | None = None
+        self._view: memoryview | bytes = b""
+        if nbytes:
+            # The mapping must start on an allocation boundary; the
+            # view skips the few bytes before the object.
+            self._skip = offset % mmap.ALLOCATIONGRANULARITY
+            with path.open("rb") as file:
+                self._map = mmap.mmap(
+                    file.fileno(),
+                    self._skip + nbytes,
+                    access=mmap.ACCESS_READ,
+                    offset=offset - self._skip,
+                )
+            self._view = memoryview(self._map)[self._skip :]
 
     @property
     def sha256(self) -> str:
@@ -114,17 +159,17 @@ class MappedDump:
         return self._closed
 
     @property
-    def data(self) -> "mmap.mmap | bytes":
-        """The mapped bytes, zero-copy; raises once closed."""
+    def data(self) -> "memoryview | bytes":
+        """The mapped bytes, zero-copy and read-only; raises once closed."""
         if self._closed:
             raise SpoolClosedError(
                 f"spool object {self._sha256[:12]}… was closed; "
                 "re-open it via DumpSpool.open() before reading"
             )
-        return self._map
+        return self._view
 
     def to_dump(self, pid: int = -1, heap_start: int = 0) -> ScrapedDump:
-        """Rehydrate the object as an mmap-backed :class:`ScrapedDump`.
+        """Rehydrate the object as a mapping-backed :class:`ScrapedDump`.
 
         Extraction bookkeeping (page/read counters) is not stored in
         the spool, so those fields are zero; the analysis paths only
@@ -140,18 +185,20 @@ class MappedDump:
         )
 
     def close(self) -> None:
-        """Unmap and release the file descriptor.  Idempotent."""
+        """Release the view, unmap, and close the descriptor.  Idempotent."""
         if self._closed:
             return
-        self._closed = True
-        try:
-            if isinstance(self._map, mmap.mmap):
+        if self._map is not None:
+            self._view.release()
+            try:
                 self._map.close()
-        finally:
-            self._map = b""
-            if self._file is not None:
-                self._file.close()
-                self._file = None
+            except BufferError:
+                # An export of the mapping is still alive: stay open.
+                self._view = memoryview(self._map)[self._skip :]
+                raise
+        self._closed = True
+        self._map = None
+        self._view = b""
 
     def __enter__(self) -> "MappedDump":
         return self
@@ -169,12 +216,22 @@ class MappedDump:
 
 
 class DumpSpool:
-    """Content-addressed dump store rooted at one directory."""
+    """Content-addressed dump store rooted at one directory.
+
+    One handle is one writer: it appends to its own segment file, and
+    one lock lets threads share it.  A handle used after ``fork``
+    starts a segment of its own in the child.
+    """
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self._root = Path(root)
-        (self._root / "objects").mkdir(parents=True, exist_ok=True)
-        self._stats_lock = threading.Lock()
+        self._root.mkdir(parents=True, exist_ok=True)
+        self._segments = self._root / "segments"
+        self._lock = threading.Lock()
+        self._index: dict[str, tuple[Path, int, int]] = {}
+        self._scanned: dict[Path, int] = {}
+        self._segment: Path | None = None
+        self._writer_pid = 0
         self._put_hits = 0
         self._put_misses = 0
 
@@ -188,18 +245,14 @@ class DumpSpool:
         """Where the runtime files the job → digest manifest."""
         return self._root / "manifest.json"
 
-    def object_path(self, sha256: str) -> Path:
-        """Where a digest's bytes live (whether or not they exist yet)."""
-        return self._root / "objects" / sha256[:2] / f"{sha256}.bin"
-
     def put(self, dump: ScrapedDump) -> SpoolEntry:
-        """File one dump's bytes; a no-op when the content is known.
+        """File one dump's bytes; a no-op when this writer holds them.
 
-        The write lands in a temp file first and is published with an
-        atomic rename, so concurrent workers (threads or processes)
-        racing on the same digest converge on one valid object.
+        A new object is one append to the writer's segment; the file is
+        opened for just that write, so no descriptor outlives the call.
+        Threads sharing the handle serialize on its lock.
         """
-        return self._publish(dump.sha256, dump.data, dump.nbytes)
+        return self._store(dump.sha256, dump.data, dump.nbytes)
 
     def put_bytes(self, data: bytes) -> SpoolEntry:
         """File raw bytes under their own SHA-256.
@@ -210,31 +263,47 @@ class DumpSpool:
         files them here; the returned entry's digest is therefore
         always trustworthy regardless of what the sender claimed.
         """
-        digest = hashlib.sha256(data).hexdigest()
-        return self._publish(digest, data, len(data))
+        return self._store(hashlib.sha256(data).hexdigest(), data, len(data))
 
-    def _publish(
-        self, digest: str, data: "bytes | mmap.mmap", nbytes: int
-    ) -> SpoolEntry:
-        path = self.object_path(digest)
-        if path.exists():
-            with self._stats_lock:
+    def _store(self, digest: str, data, nbytes: int) -> SpoolEntry:
+        with self._lock:
+            if digest in self._index:
                 self._put_hits += 1
-            return SpoolEntry(digest, nbytes, deduplicated=True)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Scratch name is unique per writer (pid *and* thread: an
-        # in-process executor with several workers writes from several
-        # threads of one pid),
-        # so racing writers never share a temp file and both renames
-        # publish identical content.
-        scratch = path.parent / (
-            f"{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        scratch.write_bytes(data)
-        os.replace(scratch, path)
-        with self._stats_lock:
+                return SpoolEntry(digest, nbytes, deduplicated=True)
+            self._append(digest, data, nbytes)
             self._put_misses += 1
         return SpoolEntry(digest, nbytes, deduplicated=False)
+
+    def _append(self, digest: str, data, nbytes: int) -> None:
+        """Append one record to this writer's segment (lock held)."""
+        if self._segment is None or self._writer_pid != os.getpid():
+            self._segments.mkdir(exist_ok=True)
+            self._writer_pid = os.getpid()
+            self._segment = self._segments / (
+                f"{self._writer_pid}-{os.urandom(4).hex()}.seg"
+            )
+        segment = self._segment
+        fd = os.open(
+            segment,
+            os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC,
+            0o644,
+        )
+        try:
+            start = os.lseek(fd, 0, os.SEEK_END)
+            for chunk in (
+                _HEADER.pack(_MAGIC, bytes.fromhex(digest), nbytes),
+                data,
+            ):
+                view = memoryview(chunk)
+                while view:
+                    view = view[os.write(fd, view) :]
+        except BaseException:
+            # The record may be torn; never append after it.
+            self._segment = None
+            raise
+        finally:
+            os.close(fd)
+        self._index[digest] = (segment, start + _HEADER.size, nbytes)
 
     def put_stats(self) -> dict:
         """Dedup telemetry for this handle's lifetime.
@@ -245,7 +314,7 @@ class DumpSpool:
         ``/stats`` surface — a high hit rate on an ingest daemon means
         clients keep re-uploading residue the store already holds.
         """
-        with self._stats_lock:
+        with self._lock:
             total = self._put_hits + self._put_misses
             return {
                 "hits": self._put_hits,
@@ -253,48 +322,101 @@ class DumpSpool:
                 "hit_rate": (self._put_hits / total) if total else 0.0,
             }
 
+    # -- reads ---------------------------------------------------------------
+
+    def _legacy_path(self, sha256: str) -> Path:
+        return self._root / "objects" / sha256[:2] / f"{sha256}.bin"
+
+    def _refresh(self) -> None:
+        """Index every complete record appended since the last scan."""
+        with self._lock:
+            for segment in sorted(self._segments.glob("*.seg")):
+                offset = self._scanned.get(segment, 0)
+                with segment.open("rb") as file:
+                    size = os.fstat(file.fileno()).st_size
+                    while offset + _HEADER.size <= size:
+                        file.seek(offset)
+                        magic, raw, length = _HEADER.unpack(
+                            file.read(_HEADER.size)
+                        )
+                        end = offset + _HEADER.size + length
+                        if magic != _MAGIC or end > size:
+                            break  # a torn tail (or no record at all)
+                        self._index.setdefault(
+                            raw.hex(), (segment, offset + _HEADER.size, length)
+                        )
+                        offset = end
+                self._scanned[segment] = offset
+
+    def _locate(self, sha256: str) -> tuple[Path, int, int]:
+        """(file, offset, length) of an object; rescans on a miss."""
+        _check_digest(sha256)
+        location = self._index.get(sha256)
+        if location is None:
+            legacy = self._legacy_path(sha256)
+            if legacy.is_file():
+                return legacy, 0, legacy.stat().st_size
+            self._refresh()
+            location = self._index.get(sha256)
+            if location is None:
+                raise FileNotFoundError(
+                    f"no spooled object {sha256} under {self._root}"
+                )
+        return location
+
     def read(self, sha256: str) -> bytes:
         """The raw dump bytes filed under *sha256*, slurped into memory.
 
-        Raises :class:`FileNotFoundError` for digests never spooled.
-        For large objects prefer :meth:`open`, which maps the file
-        instead of copying it.
+        Raises :class:`ValueError` for anything but a 64-character
+        lowercase hex digest and :class:`FileNotFoundError` for digests
+        never spooled.  For large objects prefer :meth:`open`, which
+        maps the object instead of copying it.
         """
-        return self.object_path(sha256).read_bytes()
+        path, offset, length = self._locate(sha256)
+        with path.open("rb") as file:
+            file.seek(offset)
+            return file.read(length)
 
     def open(self, sha256: str) -> MappedDump:
         """Memory-map the object filed under *sha256* — a zero-copy read.
 
-        The returned :class:`MappedDump` exposes the object's bytes
-        straight from the page cache; close it (or use it as a context
-        manager) when done.  Because spool objects are immutable once
-        published (content-addressed, atomic rename), a read-only map
-        is always coherent.  Raises :class:`FileNotFoundError` for
-        digests never spooled.
+        Maps the object's stretch of its segment read-only; the
+        returned :class:`MappedDump`'s ``data`` is a ``memoryview``
+        slice of that mapping, straight from the page cache.  Close it
+        (or use it as a context manager) when done.  Records are never
+        rewritten once appended, so a read-only map is always coherent.
+        Raises :class:`ValueError` for a malformed digest and
+        :class:`FileNotFoundError` for digests never spooled.
         """
-        path = self.object_path(sha256)
-        if not path.exists():
-            raise FileNotFoundError(
-                f"no spooled object {sha256} under {self._root}"
-            )
-        return MappedDump(path, sha256)
+        path, offset, length = self._locate(sha256)
+        return MappedDump(path, offset, length, sha256)
 
     def __contains__(self, sha256: str) -> bool:
-        return self.object_path(sha256).exists()
+        try:
+            self._locate(sha256)
+        except FileNotFoundError:
+            return False
+        return True
+
+    def _sizes(self) -> dict[str, int]:
+        """Every stored digest's size, each digest once."""
+        self._refresh()
+        with self._lock:
+            sizes = {
+                digest: length
+                for digest, (_, _, length) in self._index.items()
+            }
+        for path in (self._root / "objects").glob("*/*.bin"):
+            sizes.setdefault(path.stem, path.stat().st_size)
+        return sizes
 
     def digests(self) -> list[str]:
-        """Every object in the store, sorted."""
-        return sorted(
-            path.stem
-            for path in (self._root / "objects").glob("*/*.bin")
-        )
+        """Every object in the store, sorted, each digest once."""
+        return sorted(self._sizes())
 
     def total_bytes(self) -> int:
-        """Bytes the store holds on disk (deduplicated)."""
-        return sum(
-            path.stat().st_size
-            for path in (self._root / "objects").glob("*/*.bin")
-        )
+        """Bytes of the distinct objects in the store."""
+        return sum(self._sizes().values())
 
     # -- manifest ------------------------------------------------------------
 
@@ -304,7 +426,7 @@ class DumpSpool:
         *records* is the runtime's deterministic view of which spooled
         object belongs to which ``(job_id, board, wave)``; orphaned
         objects from interrupted runs may exist on disk beyond it —
-        harmless, and reclaimed the next time the digest recurs.
+        harmless: the manifest names only what the report cites.
         """
         payload = {"format": 1, "dumps": records}
         self.manifest_path.write_text(

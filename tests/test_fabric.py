@@ -354,14 +354,40 @@ class TestWireSpool:
         # return silently corrupt residue.
         payload = b"spooled residue"
         digest = hashlib.sha256(payload).hexdigest()
-        coordinator.run_dir.spool.put_bytes(payload)
-        # Overwrite the object file behind the store's back.
-        coordinator.run_dir.spool.object_path(digest).write_bytes(
-            b"tampered residue"
-        )
+        spool = coordinator.run_dir.spool
+        spool.put_bytes(payload)
+        # Flip one byte of the stored record inside its segment,
+        # behind the store's back.
+        (segment,) = (spool.root / "segments").glob("*.seg")
+        blob = bytearray(segment.read_bytes())
+        body = blob.rindex(payload)
+        blob[body] ^= 0xFF
+        segment.write_bytes(bytes(blob))
         with _client(coordinator) as client:
             with pytest.raises(DumpTransferError):
                 client.fetch_dump(digest)
+
+    def test_path_traversal_digest_is_refused(self, coordinator):
+        # A digest is a name the client chooses: one that walks out of
+        # the spool must be refused, never joined into a file path.
+        secret = b"a file beside the run directory"
+        planted = coordinator.run_dir.root.parent / "secret.bin"
+        planted.write_bytes(secret)
+        host, port = coordinator.address
+        for op in ("has_dump", "fetch_dump"):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(wire.encode({"op": op, "sha256": "../../secret"}))
+                stream.flush()
+                line = stream.readline()
+                stream.close()
+            response = wire.decode(line)
+            assert response["ok"] is False, op
+            assert response["code"] == "bad-request", op
+            assert "present" not in response and "data" not in response
+            assert base64.b64encode(secret) not in line
+            assert secret not in line
+        assert planted.read_bytes() == secret
 
     def test_unknown_digest_fetch_raises(self, coordinator):
         with _client(coordinator) as client:

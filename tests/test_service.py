@@ -399,6 +399,33 @@ class TestDaemonProtocol:
         assert job["code"] == "unknown-job"
         assert bad_op["code"] == "bad-request"
 
+    def test_path_traversal_digest_is_refused(
+        self, service_factory, tmp_path
+    ):
+        # "../secret" would land on <spool>/../secret.bin: the daemon
+        # must refuse the name, not analyze whatever file it reaches.
+        secret = b"resnet50_pt vitis_ai_library secret" * 64
+        (tmp_path / "secret.bin").write_bytes(secret)
+
+        async def scenario():
+            service, host, port = await service_factory()
+            async with await AsyncServiceClient.connect(host, port) as client:
+                submitted = await client.request(
+                    "submit", tenant="t", sha256="../secret"
+                )
+                job = await client.request("status", job_id=0)
+                stats = await client.request("stats")
+            await service.close()
+            return submitted, job, stats
+
+        submitted, job, stats = _run(scenario())
+        assert submitted["ok"] is False
+        assert submitted["code"] == "bad-request"
+        assert "job_id" not in submitted
+        assert job["code"] == "unknown-job"
+        assert stats["stats"]["jobs"]["accepted"] == 0
+        assert "resnet50_pt" not in json.dumps([submitted, job, stats])
+
     def test_malformed_field_is_refused_and_the_connection_survives(
         self, service_factory
     ):

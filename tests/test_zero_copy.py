@@ -179,7 +179,10 @@ class TestMappedDumpLifecycle:
         spool, digest, payload = self._spooled(tmp_path)
         with spool.open(digest) as mapped:
             assert isinstance(mapped, MappedDump)
-            assert isinstance(mapped.data, mmap_module.mmap)
+            # A read-only view straight onto the segment's mapping.
+            assert isinstance(mapped.data, memoryview)
+            assert mapped.data.readonly
+            assert isinstance(mapped.data.obj, mmap_module.mmap)
             assert bytes(mapped.data) == payload
             assert mapped.nbytes == len(payload)
             assert mapped.sha256 == digest
@@ -225,7 +228,8 @@ class TestMappedDumpLifecycle:
 
     def test_collection_releases_the_file_descriptor(self, tmp_path):
         # __del__ is the last-resort cleanup; dropping the handle must
-        # not leak the fd even when close() was never called.
+        # not leak the fd even when close() was never called.  The
+        # baseline is taken after a put: the spool itself holds none.
         spool, digest, _ = self._spooled(tmp_path)
         baseline = len(os.listdir("/proc/self/fd"))
         mapped = spool.open(digest)

@@ -18,12 +18,16 @@ plus a multi-model signature database, then:
    database, and the coalesced weight-probe layout the word-mode one —
    and the physical-ASLR lane: a ZCU102 ``RANDOM`` frame allocator must
    draw the same frames from its sparse pool as from the materialized
-   reference pool.
+   reference pool — and the spool-put lane: campaign-sized dumps filed
+   through the segment spool and through the one-file-per-object
+   reference writer must read back as the same bytes under the same
+   digests.
    **Any divergence exits nonzero without timing anything.**
 2. times fast vs. reference (best-of-``--repeats`` wall clock), offline
    prep with coalesced vs. word reads, a physical-ASLR boot with the
    sparse vs. materialized pool (plus each one's ``tracemalloc``
-   peak), and an end-to-end fleet
+   peak), spool filing with segments vs. one file per object, and an
+   end-to-end fleet
    campaign — in-process and multiprocess twins on the same 8-board
    spec, plus an ``explore`` lane timing a bounded evolutionary search
    (generations/s through the real campaign engine) — and writes the
@@ -39,9 +43,11 @@ in-process twin (``speedup_vs_inprocess < 1.0``).  See
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import sys
 import tempfile
@@ -55,6 +61,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.analysis.reference import (  # noqa: E402
+    ReferenceDumpSpool,
     ReferenceFrameAllocator,
     reference_extract_strings,
     reference_map_dump,
@@ -316,6 +323,51 @@ def aslr_boot(allocator_class: type[FrameAllocator]) -> list[int]:
     return [frame for block in blocks for frame in block]
 
 
+WARMUP_MAX_PAIRS = 8
+WARMUP_AGREEMENT = 1.15
+"""Campaign-twin warm-up: pairs run until two consecutive multiprocess
+walls, each shorter than its pair's in-process wall, are within 15 %
+of each other, or :data:`WARMUP_MAX_PAIRS` ran."""
+
+SPOOL_PUT_DUMPS = 256
+"""Dumps the ``spool_put`` lane files per run, as a 256-victim
+campaign's workers would."""
+
+
+def campaign_dumps(base: bytes, count: int) -> list[bytes]:
+    """*count* distinct campaign-sized dumps: copies of *base* (a real
+    victim heap) with their index stamped into the first 8 bytes."""
+    return [index.to_bytes(8, "little") + base[8:] for index in range(count)]
+
+
+def file_dumps(spool_class: type[DumpSpool], root: Path,
+               dumps: list[bytes]) -> DumpSpool:
+    """A fresh *spool_class* at *root* with every dump ``put`` into it."""
+    spool = spool_class(root)
+    for data in dumps:
+        spool.put(ScrapedDump(pid=1, heap_start=0, data=data,
+                              pages_read=0, pages_skipped=0, devmem_reads=0))
+    return spool
+
+
+def verify_spool_put(dumps: list[bytes], scratch: Path) -> list[str]:
+    """Divergences between the segment spool and the per-file writer."""
+    failures: list[str] = []
+    expected = {hashlib.sha256(data).hexdigest(): data for data in dumps}
+    for spool_class in (DumpSpool, ReferenceDumpSpool):
+        spool = file_dumps(spool_class, scratch / spool_class.__name__, dumps)
+        name = spool_class.__name__
+        if spool.digests() != sorted(expected):
+            failures.append(f"spool_put: {name} lists other digests")
+        if spool.total_bytes() != sum(map(len, expected.values())):
+            failures.append(f"spool_put: {name} holds other byte totals")
+        if any(spool.read(digest) != data
+               for digest, data in expected.items()):
+            failures.append(f"spool_put: {name} read back other bytes")
+        shutil.rmtree(spool.root)
+    return failures
+
+
 def traced_peak_mib(fn, *args) -> float:
     """Peak MiB that ``tracemalloc`` saw allocated during one call."""
     tracemalloc.start()
@@ -400,6 +452,9 @@ def main() -> int:
             "aslr_boot: the sparse physical-ASLR pool drew different "
             "frames than the materialized reference pool"
         )
+    spool_dumps = campaign_dumps(reference_dump.data, SPOOL_PUT_DUMPS)
+    spool_scratch = Path(spool_dir.name)
+    failures += verify_spool_put(spool_dumps, spool_scratch)
     pooled_dump.release()
     if failures:
         for failure in failures:
@@ -433,6 +488,22 @@ def main() -> int:
 
     spool_fast, _ = best_of(args.repeats, spool_mmap_read)
     spool_ref, _ = best_of(args.repeats, spool_slurp_read)
+
+    # Filing: each run puts every dump into a fresh spool, the two
+    # writers alternating so host drift hits both; the directories are
+    # removed outside the timed region.
+    put_seconds = {DumpSpool: [], ReferenceDumpSpool: []}
+    for run in range(args.repeats):
+        for spool_class, seconds in put_seconds.items():
+            root = spool_scratch / f"{spool_class.__name__}-{run}"
+            started = time.perf_counter()
+            file_dumps(spool_class, root, spool_dumps)
+            seconds.append(time.perf_counter() - started)
+            shutil.rmtree(root)
+    put_fast = min(put_seconds[DumpSpool])
+    put_ref = min(put_seconds[ReferenceDumpSpool])
+    put_mib = sum(map(len, spool_dumps)) / 1024**2
+    del spool_dumps
 
     # The scrapes a defense sweep's prep makes: the profiles and
     # signature database plus the weight probe's layout, each on a
@@ -475,8 +546,29 @@ def main() -> int:
             executor=mp_executor,
         )
 
-    report = run_inprocess()  # warm caches
-    mp_report = run_multiprocess()
+    # Warm-up pairs until two consecutive multiprocess walls agree
+    # within WARMUP_AGREEMENT.  After the host has idled, the shards
+    # of the first several runs share one CPU (/proc/stat shows the
+    # other idle through whole pairs) and take about twice as long;
+    # those slow walls agree with each other as well as fast ones do,
+    # so only a wall shorter than its pair's in-process wall counts.
+    warmup_pairs = 0
+    previous_wall = None
+    while warmup_pairs < WARMUP_MAX_PAIRS:
+        started = time.perf_counter()
+        report = run_inprocess()
+        inprocess_wall = time.perf_counter() - started
+        started = time.perf_counter()
+        mp_report = run_multiprocess()
+        wall = time.perf_counter() - started
+        warmup_pairs += 1
+        parallel_wall = wall if wall < inprocess_wall else None
+        if previous_wall is not None and parallel_wall is not None and (
+            max(wall, previous_wall)
+            <= WARMUP_AGREEMENT * min(wall, previous_wall)
+        ):
+            break
+        previous_wall = parallel_wall
     inprocess_walls: list[float] = []
     mp_walls: list[float] = []
     pair_ratios: list[float] = []
@@ -561,6 +653,16 @@ def main() -> int:
             **lane(spool_fast, spool_ref),
             "mode": "mmap vs slurp, nonzero scored",
         },
+        "spool_put": {
+            **lane(put_fast, put_ref, put_mib),
+            "dumps": SPOOL_PUT_DUMPS,
+            "dump_kib": round(reference_dump.nbytes / 1024, 1),
+            "fast_ms_per_dump": round(1000 * put_fast / SPOOL_PUT_DUMPS, 3),
+            "reference_ms_per_dump": round(
+                1000 * put_ref / SPOOL_PUT_DUMPS, 3
+            ),
+            "mode": "segment appends vs one file per object, put()",
+        },
         "offline_prep": {
             "models": sorted(set(prep_spec.model_mix)),
             "probe_model": PROBE_MODEL,
@@ -586,6 +688,7 @@ def main() -> int:
         "campaign_multiprocess": {
             **campaign_lane(mp_report, mp_walls),
             "speedup_vs_inprocess": round(mp_speedup, 2),
+            "warmup_pairs": warmup_pairs,
         },
         "explore": {
             "population": explore_config.population,
@@ -618,6 +721,9 @@ def main() -> int:
           f"({payload['extraction']['fast_mib_per_s']} MiB/s pooled coalesced)")
     print(f"spool_read: {payload['spool_read']['speedup']:>6.2f}x "
           f"({payload['spool_read']['fast_mib_per_s']} MiB/s mmap)")
+    print(f"spool_put: {payload['spool_put']['speedup']:>7.2f}x "
+          f"({payload['spool_put']['fast_ms_per_dump']} ms per dump "
+          f"appended)")
     print(f"offline_prep: {payload['offline_prep']['speedup']:>4.2f}x "
           f"({payload['offline_prep']['fast_seconds']} s coalesced)")
     print(f"aslr_boot: {payload['aslr_boot']['speedup']:>7.2f}x "
@@ -627,7 +733,8 @@ def main() -> int:
     print(f"campaign (multiprocess): "
           f"{payload['campaign_multiprocess']['victims_per_second']} victims/s "
           f"({payload['campaign_multiprocess']['speedup_vs_inprocess']}x vs "
-          f"in-process)")
+          f"in-process, after "
+          f"{payload['campaign_multiprocess']['warmup_pairs']} warm-up pairs)")
     print(f"explore  : {payload['explore']['generations_per_second']} "
           f"generations/s ({payload['explore']['evaluations']} campaign "
           f"evaluations)")
