@@ -46,7 +46,7 @@ from repro.campaign.fleet import (
     provision_board,
     provision_fleet,
 )
-from repro.campaign.worker import BoardWorker, VictimOutcome
+from repro.campaign.worker import BoardEnd, BoardWorker, VictimOutcome
 from repro.campaign.report import (
     BoardBreakdown,
     CampaignReport,
@@ -76,6 +76,7 @@ __all__ = [
     "ProvisionedBoard",
     "provision_board",
     "provision_fleet",
+    "BoardEnd",
     "BoardWorker",
     "VictimOutcome",
     "BoardBreakdown",

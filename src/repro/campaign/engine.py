@@ -17,15 +17,15 @@
 4. collect every outcome into a
    :class:`~repro.campaign.report.CampaignReport`.
 
-Two defense-injection hooks let the :mod:`repro.defense` arena run the
+Two plain-data knobs let the :mod:`repro.defense` arena run the
 identical campaign under different hardening profiles: *kernel_config*
 boots every fleet board with an arbitrary
 :class:`~repro.petalinux.kernel.KernelConfig` (provisioning time), and
-*teardown_hook* runs after each wave's victims terminate and before
-extraction (process-teardown time — where the asynchronous scrub
-daemon races the attacker's scrape).  A live hook cannot cross a
-process boundary, so campaigns with a *teardown_hook* always run
-in-process.
+*scrape_delay_ticks* lets that many scheduler ticks pass after each
+wave's victims terminate and before extraction (process-teardown time
+— where the asynchronous scrub daemon races the attacker's scrape).
+Each board's end-of-run scrub counters come back through
+*on_board_complete*, so a defended campaign runs on either executor.
 
 For checkpointable runs — journal, dump spool, interrupt/resume — use
 :class:`~repro.campaign.runtime.runner.CampaignRuntime`, which drives
@@ -44,10 +44,10 @@ from repro.attack.config import AttackConfig
 from repro.attack.identify import SignatureDatabase
 from repro.attack.profiling import ProfileStore
 from repro.campaign.report import CampaignReport
-from repro.campaign.runtime.executors import resolve_executor
+from repro.campaign.runtime.executors import BoardSink, resolve_executor
 from repro.campaign.runtime.spool import DumpSpool
 from repro.campaign.schedule import CampaignSpec
-from repro.campaign.worker import TeardownHook, VictimOutcome
+from repro.campaign.worker import VictimOutcome
 from repro.evaluation.scenarios import BoardSession
 from repro.petalinux.kernel import KernelConfig
 
@@ -104,10 +104,11 @@ def run_campaign(
     database: SignatureDatabase | None = None,
     *,
     kernel_config: KernelConfig | None = None,
-    teardown_hook: TeardownHook | None = None,
+    scrape_delay_ticks: int = 0,
     executor: str = "auto",
     processes: int | None = None,
     spool: DumpSpool | None = None,
+    on_board_complete: BoardSink | None = None,
 ) -> CampaignReport:
     """Run one full fleet campaign and aggregate the results.
 
@@ -116,8 +117,10 @@ def run_campaign(
     Offline prep always runs on a vulnerable reference board — only
     the fleet boots *kernel_config*, because the adversary preps on
     hardware they control while the defense protects the victims'
-    boards.  *teardown_hook* fires per wave after termination (see
-    :data:`~repro.campaign.worker.TeardownHook`).
+    boards.  *scrape_delay_ticks* (non-negative) ticks each board's
+    kernel after every wave terminates; *on_board_complete* receives
+    ``(board_index, end)`` with each board's
+    :class:`~repro.campaign.worker.BoardEnd` counters.
 
     *executor* selects board placement: ``"inprocess"`` (the boards in
     turn on one worker thread),
@@ -126,6 +129,11 @@ def run_campaign(
     content-addressed store as soon as it is analyzed, so only wave-
     local dumps are ever resident.
     """
+    if scrape_delay_ticks < 0:
+        raise ValueError(
+            "scrape_delay_ticks must be non-negative, "
+            f"got {scrape_delay_ticks}"
+        )
     if profiles is None:
         prepped_profiles, prepped_database = prepare_offline(spec)
         profiles = prepped_profiles
@@ -133,9 +141,7 @@ def run_campaign(
     elif database is None:
         database = SignatureDatabase.from_profiles(profiles)
 
-    chosen = resolve_executor(
-        spec, executor, processes=processes, teardown_hook=teardown_hook
-    )
+    chosen = resolve_executor(spec, executor, processes=processes)
     outcomes: list[VictimOutcome] = []
     lock = threading.Lock()
 
@@ -150,10 +156,10 @@ def run_campaign(
         profiles,
         database,
         kernel_config=kernel_config,
-        teardown_hook=teardown_hook,
+        scrape_delay_ticks=scrape_delay_ticks,
         spool=spool,
         on_wave=on_wave,
-        on_board_complete=lambda board: None,
+        on_board_complete=on_board_complete or (lambda board, end: None),
     )
     outcomes.sort(key=lambda outcome: outcome.job_id)
     return CampaignReport(spec=spec, outcomes=outcomes)

@@ -10,8 +10,8 @@ power-up residue differs across the fleet.
 
 Boards boot the vulnerable default kernel unless the caller injects a
 :class:`~repro.petalinux.kernel.KernelConfig` — the provisioning-time
-half of the defense-injection hook the :mod:`repro.defense` arena uses
-to run the same campaign under different hardening profiles.
+half of how the :mod:`repro.defense` arena runs the same campaign
+under different hardening profiles (the scrape delay is the other).
 """
 
 from __future__ import annotations

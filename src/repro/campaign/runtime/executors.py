@@ -3,8 +3,12 @@
 Both executors present one contract: given a spec and a set of board
 indices, run each board's waves and stream results through two
 callbacks — ``on_wave(board, wave, outcomes)`` as each wave completes
-and ``on_board_complete(board)`` once a board's whole schedule has
-been delivered.  The caller (the engine for plain runs, the
+and ``on_board_complete(board, end)`` once a board's whole schedule
+has been delivered, with the board's
+:class:`~repro.campaign.worker.BoardEnd` counters.  Both play each
+board through one loop, :func:`_run_board`, and take the attacker's
+latency as plain data (``scrape_delay_ticks``), so a defended campaign
+runs on either.  The caller (the engine for plain runs, the
 :class:`~repro.campaign.runtime.runner.CampaignRuntime` for
 checkpointed ones) owns ordering, journaling, and aggregation; the
 executor owns only placement and transport.
@@ -12,16 +16,14 @@ executor owns only placement and transport.
 - :class:`InProcessExecutor` — the boards, in schedule order, on one
   worker thread in the calling process, sharing the prepped
   :class:`ProfileStore` and the compiled signature automaton by
-  reference.  The right choice for small fleets and the only one that
-  supports ``teardown_hook`` (a live callable cannot cross a process
-  boundary).
+  reference.  The right choice for small fleets.
 - :class:`MultiprocessExecutor` — boards sharded round-robin across
   one child process per shard, started for one run and joined before
   it returns.  A forked child inherits the spec and the offline prep
   as they are (a spawned one unpickles them), provisions only its own
-  boards, and streams :class:`VictimOutcome` objects back over one
-  queue.  Because a board simulation is a pure function of
-  ``(spec, board_index)``, the outcomes are **identical** to the
+  boards, and streams :class:`VictimOutcome` objects and board ends
+  back over one queue.  Because a board simulation is a pure function
+  of ``(spec, board_index)``, the outcomes are **identical** to the
   in-process executor's — the regression suite pins this.
 
 :func:`resolve_executor` applies the default placement policy: fleets
@@ -47,10 +49,11 @@ from repro.campaign.fleet import provision_board
 from repro.campaign.runtime.spool import DumpSpool
 from repro.campaign.schedule import (
     CampaignSpec,
+    VictimJob,
     build_schedule,
     jobs_by_board,
 )
-from repro.campaign.worker import BoardWorker, TeardownHook, VictimOutcome
+from repro.campaign.worker import BoardEnd, BoardWorker, VictimOutcome
 from repro.petalinux.kernel import KernelConfig
 
 WaveSink = Callable[[int, int, list[VictimOutcome]], None]
@@ -61,9 +64,10 @@ its parent-side queue drain.  Raising
 :class:`~repro.errors.CampaignInterrupted` from the sink aborts the
 run (the runtime's fault-injection point)."""
 
-BoardSink = Callable[[int], None]
-"""``on_board_complete(board_index)`` — every wave of the board has
-been delivered to the wave sink."""
+BoardSink = Callable[[int, BoardEnd], None]
+"""``on_board_complete(board_index, end)`` — every wave of the board
+has been delivered to the wave sink; *end* holds the board kernel's
+end-of-run counters.  Called from the same threads as the wave sink."""
 
 MULTIPROCESS_AUTO_BOARDS = 8
 """Fleet size at which ``executor="auto"`` switches to processes."""
@@ -86,35 +90,25 @@ def resolve_executor(
     executor: "str | InProcessExecutor | MultiprocessExecutor" = "auto",
     *,
     processes: int | None = None,
-    teardown_hook: TeardownHook | None = None,
 ) -> "InProcessExecutor | MultiprocessExecutor":
     """Turn an executor name (or instance) into a ready executor.
 
     ``"auto"`` picks processes for fleets of
-    :data:`MULTIPROCESS_AUTO_BOARDS`+ boards, in-process otherwise —
-    and always in-process when a *teardown_hook* is present, since a
-    live callable cannot be shipped to a worker process.  Passing an
-    executor instance returns it unchanged (after the hook check).
+    :data:`MULTIPROCESS_AUTO_BOARDS`+ boards, in-process otherwise.
+    Passing an executor instance returns it unchanged.
     """
     if not isinstance(executor, str):
-        if isinstance(executor, MultiprocessExecutor) and teardown_hook:
-            raise ValueError(
-                "teardown_hook requires the in-process executor"
-            )
         return executor
     name = executor
     if name == "auto":
         name = (
             "multiprocess"
             if spec.boards >= MULTIPROCESS_AUTO_BOARDS
-            and teardown_hook is None
             else "inprocess"
         )
     if name == "inprocess":
         return InProcessExecutor()
     if name == "multiprocess":
-        if teardown_hook is not None:
-            raise ValueError("teardown_hook requires the in-process executor")
         return MultiprocessExecutor(processes=processes)
     raise ValueError(
         f"unknown executor {executor!r} "
@@ -130,15 +124,46 @@ def _populated_boards(
     """The requested boards that actually have jobs, plus the grouping.
 
     Boards the schedule assigned nothing to are reported complete
-    immediately — no provisioning, no worker.
+    immediately, with an all-zero end — no provisioning, no worker.
     """
     grouped = jobs_by_board(build_schedule(spec))
     populated = [index for index in board_indices if grouped.get(index)]
     populated_set = set(populated)
     for index in board_indices:
         if index not in populated_set:
-            on_board_complete(index)
+            on_board_complete(index, BoardEnd())
     return populated, grouped
+
+
+def _run_board(
+    spec: CampaignSpec,
+    index: int,
+    jobs: list[VictimJob],
+    profiles: ProfileStore,
+    database: SignatureDatabase,
+    kernel_config: KernelConfig | None,
+    scrape_delay_ticks: int,
+    spool: DumpSpool | None,
+    on_wave: WaveSink,
+    on_board_complete: BoardSink,
+) -> None:
+    """Provision board *index*, play *jobs* wave by wave, report its end.
+
+    The one board loop of both executors: the in-process executor
+    calls it on its worker thread, a shard process once per board with
+    sinks that feed the result queue.
+    """
+    worker = BoardWorker(
+        provision_board(spec, index, kernel_config),
+        profiles,
+        database,
+        AttackConfig(coalesce_reads=spec.coalesce_reads),
+        scrape_delay_ticks=scrape_delay_ticks,
+        spool=spool,
+    )
+    for wave, outcomes in worker.iter_waves(jobs):
+        on_wave(index, wave, outcomes)
+    on_board_complete(index, worker.end())
 
 
 class InProcessExecutor:
@@ -162,7 +187,7 @@ class InProcessExecutor:
         database: SignatureDatabase,
         *,
         kernel_config: KernelConfig | None = None,
-        teardown_hook: TeardownHook | None = None,
+        scrape_delay_ticks: int = 0,
         spool: DumpSpool | None = None,
         on_wave: WaveSink,
         on_board_complete: BoardSink,
@@ -179,24 +204,23 @@ class InProcessExecutor:
         )
         if not populated:
             return
-        config = AttackConfig(coalesce_reads=spec.coalesce_reads)
-
-        def run_board(index: int) -> None:
-            board = provision_board(spec, index, kernel_config)
-            worker = BoardWorker(
-                board,
+        pool = ThreadPoolExecutor(max_workers=self._max_workers or 1)
+        futures = [
+            pool.submit(
+                _run_board,
+                spec,
+                index,
+                grouped[index],
                 profiles,
                 database,
-                config,
-                teardown_hook=teardown_hook,
-                spool=spool,
+                kernel_config,
+                scrape_delay_ticks,
+                spool,
+                on_wave,
+                on_board_complete,
             )
-            for wave, outcomes in worker.iter_waves(grouped[index]):
-                on_wave(index, wave, outcomes)
-            on_board_complete(index)
-
-        pool = ThreadPoolExecutor(max_workers=self._max_workers or 1)
-        futures = [pool.submit(run_board, index) for index in populated]
+            for index in populated
+        ]
         try:
             for future in futures:
                 future.result()
@@ -210,6 +234,7 @@ def _run_shard(
     profiles: ProfileStore,
     database: SignatureDatabase,
     kernel_config: KernelConfig | None,
+    scrape_delay_ticks: int,
     spool_root: str | None,
     queue: "multiprocessing.Queue",
     shard_index: int,
@@ -217,23 +242,27 @@ def _run_shard(
     """Run one shard of boards in a child process, streaming results.
 
     A forked child inherits the prep objects as they are; a spawned
-    one unpickles them.  Outcomes go onto *queue* as they complete,
-    followed by ``("shard_done", shard_index)``; a failure ships its
-    traceback instead.
+    one unpickles them.  Outcomes and board ends go onto *queue* as
+    they complete, followed by ``("shard_done", shard_index)``; a
+    failure ships its traceback instead.
     """
     board = -1
     try:
-        config = AttackConfig(coalesce_reads=spec.coalesce_reads)
         spool = DumpSpool(spool_root) if spool_root is not None else None
         grouped = jobs_by_board(build_schedule(spec))
         for board in board_indices:
-            provisioned = provision_board(spec, board, kernel_config)
-            worker = BoardWorker(
-                provisioned, profiles, database, config, spool=spool
+            _run_board(
+                spec,
+                board,
+                grouped[board],
+                profiles,
+                database,
+                kernel_config,
+                scrape_delay_ticks,
+                spool,
+                lambda *wave: queue.put(("wave", *wave)),
+                lambda *end: queue.put(("board_complete", *end)),
             )
-            for wave, outcomes in worker.iter_waves(grouped[board]):
-                queue.put(("wave", board, wave, outcomes))
-            queue.put(("board_complete", board))
     except Exception:  # noqa: BLE001 — ship the traceback to the parent
         queue.put(("error", board, traceback.format_exc()))
         return
@@ -260,7 +289,7 @@ class MultiprocessExecutor:
         database: SignatureDatabase,
         *,
         kernel_config: KernelConfig | None = None,
-        teardown_hook: TeardownHook | None = None,
+        scrape_delay_ticks: int = 0,
         spool: DumpSpool | None = None,
         on_wave: WaveSink,
         on_board_complete: BoardSink,
@@ -276,8 +305,6 @@ class MultiprocessExecutor:
         aborts the run and terminates the shards — exactly the crash
         the checkpoint journal is designed to survive.
         """
-        if teardown_hook is not None:
-            raise ValueError("teardown_hook requires the in-process executor")
         populated, _ = _populated_boards(
             spec, board_indices, on_board_complete
         )
@@ -298,6 +325,7 @@ class MultiprocessExecutor:
                     profiles,
                     database,
                     kernel_config,
+                    scrape_delay_ticks,
                     spool_root,
                     results,
                     shard_index,
@@ -338,7 +366,7 @@ class MultiprocessExecutor:
                     _, board, wave, outcomes = message
                     on_wave(board, wave, outcomes)
                 elif kind == "board_complete":
-                    on_board_complete(message[1])
+                    on_board_complete(message[1], message[2])
                 elif kind == "error":
                     raise CampaignExecutionError(
                         f"board shard died around board {message[1]}:\n"

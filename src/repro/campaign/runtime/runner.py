@@ -46,7 +46,7 @@ from repro.campaign.report import CampaignReport, OutcomeAccumulator
 from repro.campaign.runtime.checkpoint import JournalState, RunDirectory
 from repro.campaign.runtime.executors import resolve_executor
 from repro.campaign.schedule import CampaignSpec
-from repro.campaign.worker import VictimOutcome
+from repro.campaign.worker import BoardEnd, VictimOutcome
 from repro.errors import CampaignInterrupted
 
 if TYPE_CHECKING:
@@ -152,10 +152,7 @@ class CampaignRuntime:
         else:
             profiles, database = prepare_offline(spec)
         executor = resolve_executor(
-            spec,
-            self._executor,
-            processes=self._processes,
-            teardown_hook=None,
+            spec, self._executor, processes=self._processes
         )
 
         accumulator = OutcomeAccumulator.of(reused)
@@ -189,7 +186,7 @@ class CampaignRuntime:
                         str(self._run_dir.root), journaled
                     )
 
-        def on_board_complete(board: int) -> None:
+        def on_board_complete(board: int, end: BoardEnd) -> None:
             with lock:
                 self._run_dir.mark_board_complete(board)
 

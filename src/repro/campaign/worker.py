@@ -13,10 +13,10 @@ schedule wave by wave:
 3. **re-harvest** through the attack pipeline right before the wave
    ends — served from the cache, since the snapshot is still valid;
 4. **terminate** the whole wave (the kernel's sanitize policy runs
-   here; its sync-scrub work is attributed per victim),
-   then fire the optional *teardown hook* — the defense arena's
-   injection point for attacker latency, during which the asynchronous
-   scrub daemon gets to shrink the window of vulnerability;
+   here; its sync-scrub work is attributed per victim), then let
+   *scrape_delay_ticks* scheduler ticks pass — the attacker's latency,
+   during which an asynchronous scrub daemon gets to shrink the window
+   of vulnerability (zero by default, which ticks nothing);
 5. **extract + analyze** each victim's residue, scoring the recovered
    image against the ground truth the worker launched with.
 
@@ -27,14 +27,17 @@ pass per dump fleet-wide) and reuse the board's translation cache
 across every attack they mount.  Dump analysis routes through the
 shared scan core of :mod:`repro.analysis`, whose scratch tables warm
 once per process and serve every wave of every board.  Boards are
-fully independent simulations, so the engine runs one worker per
-thread without any cross-board locking.
+fully independent simulations, so the executors run workers one after
+another on a thread or side by side in shard processes without any
+cross-board locking.  After the last wave, :meth:`BoardWorker.end`
+reads the kernel's end-of-run counters into a :class:`BoardEnd`, plain
+data that crosses a process boundary as outcomes do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.attack.addressing import AddressHarvester
 from repro.attack.config import AttackConfig
@@ -49,7 +52,6 @@ from repro.errors import (
     PermissionDeniedError,
 )
 from repro.evaluation.metrics import image_fidelity, nonzero_bytes
-from repro.petalinux.kernel import PetaLinuxKernel
 from repro.utils.buffers import BufferPool
 from repro.vitis.app import VictimApplication, VictimRun
 from repro.vitis.image import Image
@@ -57,10 +59,21 @@ from repro.vitis.image import Image
 if TYPE_CHECKING:
     from repro.campaign.runtime.spool import DumpSpool
 
-TeardownHook = Callable[[PetaLinuxKernel], None]
-"""Called once per wave, after every victim of the wave terminated and
-before extraction starts.  The defense arena injects attacker latency
-here (``kernel.tick(n)``) so the background scrubber races the scrape."""
+
+@dataclass(frozen=True)
+class BoardEnd:
+    """A board kernel's scrub counters once its last wave ended.
+
+    A board the schedule gave no victims never boots and ends all
+    zeros.  ``teardown_seconds`` is host time, not simulated work.
+    """
+
+    frames_scrubbed_async: int = 0
+    """Frames the background scrub daemon scrubbed."""
+    scrub_backlog: int = 0
+    """Frames still queued for the daemon when the board ended."""
+    teardown_seconds: float = 0.0
+    """Host seconds the kernel spent terminating victims."""
 
 
 @dataclass(frozen=True)
@@ -145,14 +158,14 @@ class BoardWorker:
         profiles: ProfileStore,
         database: SignatureDatabase,
         config: AttackConfig,
-        teardown_hook: TeardownHook | None = None,
+        scrape_delay_ticks: int = 0,
         spool: "DumpSpool | None" = None,
     ) -> None:
         self._board = board
         self._profiles = profiles
         self._database = database
         self._config = config
-        self._teardown_hook = teardown_hook
+        self._scrape_delay_ticks = scrape_delay_ticks
         self._spool = spool
         self._claimed_pids: set[int] = set()
         # One extraction-buffer pool per board: victims of the same
@@ -190,6 +203,15 @@ class BoardWorker:
             waves.setdefault(job.launch_wave, []).append(job)
         for wave in sorted(waves):
             yield wave, self._run_wave(waves[wave])
+
+    def end(self) -> BoardEnd:
+        """The board kernel's scrub counters as they stand now."""
+        kernel = self._board.session.kernel
+        return BoardEnd(
+            frames_scrubbed_async=kernel.sanitizer.stats.frames_scrubbed_async,
+            scrub_backlog=kernel.sanitizer.pending,
+            teardown_seconds=kernel.teardown_seconds,
+        )
 
     def _run_wave(self, jobs: list[VictimJob]) -> list[VictimOutcome]:
         session = self._board.session
@@ -259,8 +281,8 @@ class BoardWorker:
                 entry.frames_scrubbed_sync = (
                     sanitizer.stats.frames_scrubbed_sync - scrubbed_before
                 )
-        if self._teardown_hook is not None:
-            self._teardown_hook(session.kernel)
+        if self._scrape_delay_ticks:
+            session.kernel.tick(self._scrape_delay_ticks)
 
         outcomes = [
             self._failed(entry, step, error) for entry, step, error in failed

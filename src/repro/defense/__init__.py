@@ -11,8 +11,8 @@ under each, and tabulate leakage against overhead.
   sanitize policy (+ scrub-daemon tuning), ASLR strength, and Xen
   domain pinning; named profiles with ``a+b`` composition;
 - :mod:`repro.defense.arena` — :func:`run_defense_arena`: one campaign
-  per profile through the engine's defense-injection hooks, plus the
-  fine-tuned-weight-theft probe;
+  per profile through the engine's kernel config and scrape delay,
+  plus the fine-tuned-weight-theft probe;
 - :mod:`repro.defense.matrix` — :class:`DefenseMatrix` /
   :class:`DefenseRow`: leakage-vs-overhead rows, JSON round-trip,
   text and markdown renderers.
@@ -33,7 +33,6 @@ Quick use (also exposed as ``repro defense sweep``):
 """
 
 from repro.defense.arena import (
-    ScrapeDelayHook,
     prepare_weight_probe,
     probe_weight_theft,
     run_defense_arena,
@@ -58,7 +57,6 @@ __all__ = [
     "DefenseConfig",
     "DefenseMatrix",
     "DefenseRow",
-    "ScrapeDelayHook",
     "XenPolicy",
     "prepare_weight_probe",
     "campaign_deployment",

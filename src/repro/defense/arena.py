@@ -6,11 +6,12 @@ under each requested profile and distills every run into one
 :class:`~repro.defense.matrix.DefenseRow`:
 
 - the fleet boots the profile's kernel via the campaign engine's
-  provisioning hook;
-- a :class:`ScrapeDelayHook` models attacker latency at the teardown
-  hook: after each wave terminates, the kernel runs
-  *scrape_delay_ticks* scheduler ticks, during which the asynchronous
-  scrub daemon races the attacker — the window of vulnerability;
+  *kernel_config*;
+- attacker latency is the engine's *scrape_delay_ticks*: after each
+  wave terminates, every board's kernel runs that many scheduler
+  ticks, during which the asynchronous scrub daemon races the
+  attacker — the window of vulnerability — and each board reports
+  its scrub counters as a :class:`~repro.campaign.worker.BoardEnd`;
 - an optional weight-theft probe runs the fine-tuned-weight attack
   (:mod:`repro.attack.weights`) against one victim under the same
   kernel config, scoring how much of a private model survives the
@@ -23,9 +24,7 @@ is defended.
 
 from __future__ import annotations
 
-import threading
 import time
-import weakref
 from typing import Sequence
 
 from repro.attack.addressing import AddressHarvester
@@ -39,79 +38,18 @@ from repro.attack.weights import (
 from repro.campaign.engine import prepare_offline, run_campaign
 from repro.campaign.report import CampaignReport
 from repro.campaign.schedule import CampaignSpec
+from repro.campaign.worker import BoardEnd
 from repro.defense.matrix import DefenseMatrix, DefenseRow
 from repro.defense.profiles import DefenseConfig, DEFAULT_SWEEP, defense_profile
 from repro.errors import AttackError, EmptyMetricError, PermissionDeniedError
 from repro.evaluation.metrics import window_hit_rate
 from repro.evaluation.scenarios import BoardSession
-from repro.petalinux.kernel import KernelConfig, PetaLinuxKernel
+from repro.petalinux.kernel import KernelConfig
 from repro.vitis.xmodel import XModel
 from repro.vitis.zoo import build_model, fine_tune
 
 WEIGHT_PROBE_SEED = 9
 """Seed of the fine-tuned private weights the probe tries to steal."""
-
-
-class ScrapeDelayHook:
-    """Teardown hook modelling the attacker's scrape latency.
-
-    Called once per wave (per board, possibly from several worker
-    threads): runs *delay_ticks* scheduler ticks so the background
-    scrubber gets its window, and keeps the latest per-kernel snapshot
-    so the arena can report async scrub work, the backlog left when
-    the campaign ended, and the kernels' host time in teardown.
-
-    Each kernel gets its own snapshot slot through a weak mapping:
-    boards run one after another, so a finished board's kernel can be
-    freed and the next one allocated at its address, and ``id()``
-    would let that board's snapshot overwrite the first.  The weak
-    keys keep no finished board alive.
-    """
-
-    def __init__(self, delay_ticks: int) -> None:
-        if delay_ticks < 0:
-            raise ValueError(
-                f"delay_ticks must be non-negative, got {delay_ticks}"
-            )
-        self.delay_ticks = delay_ticks
-        self._lock = threading.Lock()
-        self._slots: "weakref.WeakKeyDictionary[PetaLinuxKernel, int]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._snapshots: list[tuple[int, int, float]] = []
-
-    def __call__(self, kernel: PetaLinuxKernel) -> None:
-        kernel.tick(self.delay_ticks)
-        snapshot = (
-            kernel.sanitizer.stats.frames_scrubbed_async,
-            kernel.sanitizer.pending,
-            kernel.teardown_seconds,
-        )
-        with self._lock:
-            slot = self._slots.get(kernel)
-            if slot is None:
-                self._slots[kernel] = len(self._snapshots)
-                self._snapshots.append(snapshot)
-            else:
-                self._snapshots[slot] = snapshot
-
-    @property
-    def frames_scrubbed_async(self) -> int:
-        """Frames the background daemons scrubbed, fleet-wide."""
-        with self._lock:
-            return sum(frames for frames, _, _ in self._snapshots)
-
-    @property
-    def scrub_backlog(self) -> int:
-        """Frames still queued when each board's last wave ended."""
-        with self._lock:
-            return sum(pending for _, pending, _ in self._snapshots)
-
-    @property
-    def teardown_seconds(self) -> float:
-        """Host seconds the kernels spent terminating victims."""
-        with self._lock:
-            return sum(spent for _, _, spent in self._snapshots)
 
 
 def prepare_weight_probe(
@@ -180,12 +118,13 @@ def probe_weight_theft(
 def summarize_run(
     profile: DefenseConfig,
     report: CampaignReport,
-    hook: ScrapeDelayHook,
+    ends: Sequence[BoardEnd],
     weight_theft_match: float | None,
     wall_seconds: float,
 ) -> DefenseRow:
     """Distill one profile's campaign into a matrix row.
 
+    *ends* holds the campaign's board ends, one per board.
     *wall_seconds* is the campaign's host time; the report has none.  A
     zero-victim run has a defined answer here: nothing was attacked, so
     nothing was scraped inside the window — the
@@ -208,10 +147,10 @@ def summarize_run(
         bytes_scraped=sum(o.nbytes for o in outcomes),
         window_hit_rate=hit_rate,
         weight_theft_match=weight_theft_match,
-        teardown_seconds=hook.teardown_seconds,
+        teardown_seconds=sum(end.teardown_seconds for end in ends),
         frames_scrubbed_sync=sum(o.frames_scrubbed_sync for o in outcomes),
-        frames_scrubbed_async=hook.frames_scrubbed_async,
-        scrub_backlog=hook.scrub_backlog,
+        frames_scrubbed_async=sum(end.frames_scrubbed_async for end in ends),
+        scrub_backlog=sum(end.scrub_backlog for end in ends),
         wall_seconds=wall_seconds,
     )
 
@@ -246,14 +185,15 @@ def run_defense_arena(
     rows = []
     for profile in resolved:
         config = profile.kernel_config(spec)
-        hook = ScrapeDelayHook(scrape_delay_ticks)
+        ends: list[BoardEnd] = []
         started = time.perf_counter()
         report = run_campaign(
             spec,
             profiles=prep_profiles,
             database=database,
             kernel_config=config,
-            teardown_hook=hook,
+            scrape_delay_ticks=scrape_delay_ticks,
+            on_board_complete=lambda board, end: ends.append(end),
         )
         wall_seconds = time.perf_counter() - started
         match = (
@@ -266,7 +206,7 @@ def run_defense_arena(
             if weight_theft
             else None
         )
-        rows.append(summarize_run(profile, report, hook, match, wall_seconds))
+        rows.append(summarize_run(profile, report, ends, match, wall_seconds))
     return DefenseMatrix(
         spec=spec, scrape_delay_ticks=scrape_delay_ticks, rows=rows
     )

@@ -17,7 +17,7 @@ Elementary profiles (``none``, ``zero_on_free``, ``scrub_pool``,
 scrubs asynchronously and pins domains.  ``full`` is the everything-on
 bundle.  :meth:`DefenseConfig.kernel_config` lowers a profile onto the
 :class:`~repro.petalinux.kernel.KernelConfig` every fleet board boots
-with — the provisioning-time half of the campaign's defense hook.
+with — the provisioning-time half of a defended campaign.
 """
 
 from __future__ import annotations

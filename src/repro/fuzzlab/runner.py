@@ -13,8 +13,8 @@ no mocks, no shortcuts — collecting every artifact the oracles need:
    for the byte-identity oracle;
 3. a coalesce-flipped campaign (batched ⇄ word-at-a-time extraction)
    for the extraction-equivalence oracle;
-4. a profile-vs-strengthened-profile campaign pair, run through the
-   defense arena's teardown-delay hook, for the monotonicity oracle;
+4. a profile-vs-strengthened-profile campaign pair, run under the
+   scenario's scrape delay and executor, for the monotonicity oracle;
 5. fast-path region maps over spooled residue for the differential
    scan oracles, plus mmap-backed re-reads of the same spool objects
    (``DumpSpool.open``) for the backing-equivalence oracle;
@@ -69,7 +69,7 @@ from repro.campaign.runtime.netchaos import ChaosScript, FlakyProxy
 from repro.campaign.runtime.runner import CampaignRuntime
 from repro.campaign.runtime.spool import DumpSpool
 from repro.campaign.schedule import build_schedule
-from repro.defense.arena import ScrapeDelayHook
+from repro.campaign.worker import BoardEnd
 from repro.defense.profiles import DefenseConfig, defense_profile
 from repro.errors import (
     CampaignInterrupted,
@@ -126,10 +126,10 @@ class WorldEval:
     """Deterministic measurements of one scenario under one profile.
 
     The lightweight sibling of :func:`build_world`: a *single*
-    in-process campaign through the arena's teardown-delay hook.  The
+    in-process campaign under the scenario's scrape delay.  The
     explorer (:mod:`repro.explore`) scores genomes on these numbers and
     promises byte-identical frontiers per seed, so only simulated work
-    is summarized here — never the host time the hook also records.
+    is summarized here — never the host time a board end also records.
     """
 
     profile: str
@@ -153,8 +153,9 @@ def evaluate_world(
 
     The fitness-evaluation hook the explorer drives: reuses the
     engine's offline-prep cache
-    (:func:`~repro.campaign.engine.prepare_offline_cached`) and the
-    defense arena's :class:`ScrapeDelayHook`, but skips everything
+    (:func:`~repro.campaign.engine.prepare_offline_cached`) and sums
+    the boards' :class:`~repro.campaign.worker.BoardEnd` counters as
+    the defense arena does, but skips everything
     :func:`build_world` builds for the oracles — no crash/resume
     drill, no fabric, no spool re-reads.  *defense* overrides the
     scenario's named profile with an explicit
@@ -168,14 +169,15 @@ def evaluate_world(
         if defense is not None
         else defense_profile(scenario.defense_profile)
     )
-    hook = ScrapeDelayHook(scenario.scrape_delay_ticks)
+    ends: list[BoardEnd] = []
     report = run_campaign(
         spec,
         profiles,
         database,
         kernel_config=profile.kernel_config(spec),
-        teardown_hook=hook,
+        scrape_delay_ticks=scenario.scrape_delay_ticks,
         executor="inprocess",
+        on_board_complete=lambda board, end: ends.append(end),
     )
     outcomes = report.outcomes
     try:
@@ -192,8 +194,8 @@ def evaluate_world(
         residue_bytes=sum(o.residue_nbytes for o in outcomes),
         bytes_scraped=sum(o.nbytes for o in outcomes),
         frames_scrubbed_sync=sum(o.frames_scrubbed_sync for o in outcomes),
-        frames_scrubbed_async=hook.frames_scrubbed_async,
-        scrub_backlog=hook.scrub_backlog,
+        frames_scrubbed_async=sum(end.frames_scrubbed_async for end in ends),
+        scrub_backlog=sum(end.scrub_backlog for end in ends),
     )
 
 
@@ -398,7 +400,7 @@ def build_world(scenario: Scenario, workdir: str | Path) -> ScenarioWorld:
         spool=DumpSpool(workdir / "alt-spool"),
     )
 
-    # 4. The monotonicity pair, through the arena's teardown-delay hook.
+    # 4. The monotonicity pair, under the scenario's scrape delay.
     stronger, axis = strengthen(profile)
     pair_reports = [
         run_campaign(
@@ -406,8 +408,9 @@ def build_world(scenario: Scenario, workdir: str | Path) -> ScenarioWorld:
             profiles,
             database,
             kernel_config=config.kernel_config(spec),
-            teardown_hook=ScrapeDelayHook(scenario.scrape_delay_ticks),
-            executor="inprocess",
+            scrape_delay_ticks=scenario.scrape_delay_ticks,
+            executor=scenario.executor,
+            processes=scenario.processes,
         )
         for config in ((profile,) if stronger is profile else (profile, stronger))
     ]

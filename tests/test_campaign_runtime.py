@@ -38,7 +38,7 @@ from repro.campaign.runtime import (
     MultiprocessExecutor,
     resolve_executor,
 )
-from repro.campaign.worker import VictimOutcome, outcome_from_dict
+from repro.campaign.worker import BoardEnd, VictimOutcome, outcome_from_dict
 from repro.errors import CampaignInterrupted
 
 SPEC = CampaignSpec(boards=3, victims=9, seed=5)
@@ -328,6 +328,32 @@ class TestLeaseEpochWatermarks:
         assert epochs == {0: 2, 99: 11}
 
 
+DEFENDED_SPEC = CampaignSpec(boards=8, victims=16, seed=5)
+
+
+def _run_defended(executor: str, processes: int | None = None):
+    """Run DEFENDED_SPEC under ``scrub_pool`` with a 2-tick scrape delay;
+    return its report JSON and each board's async-scrub counters."""
+    from repro.defense import defense_profile
+
+    ends: dict[int, BoardEnd] = {}
+    report = run_campaign(
+        DEFENDED_SPEC,
+        kernel_config=defense_profile("scrub_pool").kernel_config(
+            DEFENDED_SPEC
+        ),
+        scrape_delay_ticks=2,
+        executor=executor,
+        processes=processes,
+        on_board_complete=ends.__setitem__,
+    )
+    counters = {
+        board: (end.frames_scrubbed_async, end.scrub_backlog)
+        for board, end in ends.items()
+    }
+    return report.to_json(), counters
+
+
 class TestExecutorEquivalence:
     def test_multiprocess_matches_inprocess(self):
         inproc = run_campaign(SPEC, executor="inprocess")
@@ -345,14 +371,15 @@ class TestExecutorEquivalence:
         spec = CampaignSpec(boards=4, victims=8, seed=5)
         threads: list[int] = []
 
-        def record_thread(kernel) -> None:
+        def record_thread(board: int, end: BoardEnd) -> None:
             threads.append(threading.get_ident())
 
         one = run_campaign(
-            spec, executor=InProcessExecutor(), teardown_hook=record_thread
+            spec, executor=InProcessExecutor(), on_board_complete=record_thread
         )
-        assert len(threads) == spec.victims // spec.wave_size
+        assert len(threads) == spec.boards
         assert len(set(threads)) == 1
+        assert threads[0] != threading.get_ident()
         four = run_campaign(spec, executor=InProcessExecutor(max_workers=4))
         assert one.to_json() == four.to_json()
 
@@ -364,16 +391,28 @@ class TestExecutorEquivalence:
         large = CampaignSpec(boards=8, victims=8)
         assert isinstance(resolve_executor(large, "auto"), MultiprocessExecutor)
 
-    def test_teardown_hook_forces_threads_on_auto(self):
-        large = CampaignSpec(boards=8, victims=8)
-        chosen = resolve_executor(large, "auto", teardown_hook=lambda k: None)
-        assert isinstance(chosen, InProcessExecutor)
+    def test_auto_places_a_defended_campaign_by_fleet_size(self):
+        """``auto`` ignores the defense: an 8-board ``scrub_pool``
+        campaign with a scrape delay goes multiprocess, as an
+        undefended one does, and matches the in-process report and
+        per-board scrub counters."""
+        assert isinstance(
+            resolve_executor(DEFENDED_SPEC, "auto"), MultiprocessExecutor
+        )
+        inproc = _run_defended("inprocess")
+        assert sorted(inproc[1]) == list(range(DEFENDED_SPEC.boards))
+        assert any(frames for frames, _ in inproc[1].values())
+        assert _run_defended("auto") == inproc
 
-    def test_teardown_hook_rejected_by_multiprocess(self):
-        with pytest.raises(ValueError, match="in-process"):
-            resolve_executor(
-                SPEC, "multiprocess", teardown_hook=lambda k: None
-            )
+    def test_multiprocess_runs_a_defended_campaign(self):
+        """A scrape delay is plain data, so the multiprocess executor
+        takes a defended campaign: on one or two processes it gives the
+        in-process report and per-board scrub counters (host seconds
+        aside)."""
+        inproc = _run_defended("inprocess")
+        assert any(frames for frames, _ in inproc[1].values())
+        assert _run_defended("multiprocess", processes=1) == inproc
+        assert _run_defended("multiprocess", processes=2) == inproc
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):

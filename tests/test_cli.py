@@ -281,6 +281,20 @@ class TestCliErrorPaths:
         )
         assert "unknown defense profile" in capsys.readouterr().err
 
+    def test_defense_sweep_rejects_negative_delay(self, capsys):
+        assert (
+            main(
+                [
+                    "defense", "sweep",
+                    "--boards", "1", "--victims", "1",
+                    "--profiles", "none", "--no-weight-theft",
+                    "--delay-ticks", "-1",
+                ]
+            )
+            == 2
+        )
+        assert "non-negative" in capsys.readouterr().err
+
     def test_campaign_output_path_error_exits_2(self, tmp_path, capsys):
         bad = str(tmp_path / "no_such_dir" / "out.json")
         assert (

@@ -1,17 +1,21 @@
-"""The defense arena: profiles, hooks, leakage accounting, the matrix."""
+"""The defense arena: profiles, scrape delay, leakage, the matrix."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import (
+    BoardEnd,
+    CampaignReport,
+    CampaignSpec,
+    prepare_offline,
+    run_campaign,
+)
 from repro.defense import (
     DefenseConfig,
     DefenseMatrix,
-    ScrapeDelayHook,
     XenPolicy,
     campaign_deployment,
     defense_profile,
@@ -140,64 +144,64 @@ class TestLeakageMetrics:
             window_hit_rate([])
 
 
-# -- the hooks ----------------------------------------------------------------
+# -- the scrape delay ---------------------------------------------------------
+
+
+def _board_ends(**kwargs) -> tuple[CampaignReport, dict[int, BoardEnd]]:
+    """Run SMALL, collecting each board's end record by board index."""
+    ends: dict[int, BoardEnd] = {}
+    report = run_campaign(SMALL, on_board_complete=ends.__setitem__, **kwargs)
+    return report, ends
 
 
 class TestDefenseHooks:
-    def test_scrape_delay_hook_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ScrapeDelayHook(-1)
+    def test_scrape_delay_hook_rejects_negative(self, monkeypatch):
+        """A negative delay is refused on every executor before any
+        board boots, the prep's reference board included."""
 
-    def test_scrape_delay_hook_counts_a_kernel_at_a_freed_address(self):
-        """A board's kernel freed and its address reused by the next
-        board's must not overwrite the first board's snapshot."""
+        def boot(*args, **kwargs):
+            raise AssertionError("a board booted")
 
-        class StubKernel:
-            def __init__(self, frames: int) -> None:
-                self.sanitizer = SimpleNamespace(
-                    stats=SimpleNamespace(frames_scrubbed_async=frames),
-                    pending=1,
-                )
-                self.teardown_seconds = 0.5
+        monkeypatch.setattr(BoardSession, "boot", boot)
+        for executor in ("inprocess", "multiprocess"):
+            with pytest.raises(ValueError, match="non-negative"):
+                run_campaign(SMALL, scrape_delay_ticks=-1, executor=executor)
 
-            def tick(self, ticks: int) -> None:
-                pass
-
-        hook = ScrapeDelayHook(0)
-        first = StubKernel(10)
-        hook(first)
-        freed_address = id(first)
-        del first
-        kept = []
-        for _ in range(10_000):
-            candidate = StubKernel(20)
-            if id(candidate) == freed_address:
-                break
-            kept.append(candidate)
-        else:
-            pytest.skip("no stub landed at the freed kernel's address")
-        hook(candidate)
-        assert hook.frames_scrubbed_async == 30
-        assert hook.scrub_backlog == 2
-        assert hook.teardown_seconds == 1.0
-
-    def test_teardown_hook_fires_per_wave(self):
-        ticks_seen = []
-        report = run_campaign(
-            SMALL, teardown_hook=lambda kernel: ticks_seen.append(kernel)
+    def test_every_board_reports_one_end_record(self):
+        spec = CampaignSpec(boards=4, victims=4, wave_size=1, seed=7)
+        records: list[tuple[int, BoardEnd]] = []
+        run_campaign(
+            spec, on_board_complete=lambda *record: records.append(record)
         )
+        assert sorted(board for board, _ in records) == [0, 1, 2, 3]
+        assert all(isinstance(end, BoardEnd) for _, end in records)
+
+    def test_teardown_hook_fires_per_wave(self, monkeypatch):
+        """The delay ticks each board's kernel once per wave."""
+        from repro.petalinux.kernel import PetaLinuxKernel
+
+        prep = prepare_offline(SMALL)
+        ticks: list[int] = []
+        monkeypatch.setattr(
+            PetaLinuxKernel, "tick", lambda kernel, n: ticks.append(n)
+        )
+        report = run_campaign(SMALL, *prep, scrape_delay_ticks=3)
         # 2 boards x 1 wave each.
-        assert len(ticks_seen) == 2
+        assert ticks == [3, 3]
         assert report.success_rate == 1.0
+        ticks.clear()
+        run_campaign(SMALL, *prep)
+        assert ticks == []
 
     def test_outcomes_carry_residue_and_teardown_stats(self):
-        hook = ScrapeDelayHook(0)
-        report = run_campaign(SMALL, teardown_hook=hook)
+        report, ends = _board_ends()
         for outcome in report.outcomes:
             assert outcome.residue_nbytes > 0
             assert outcome.residue_nbytes <= outcome.nbytes
             assert outcome.frames_scrubbed_sync == 0
-        row = summarize_run(defense_profile("none"), report, hook, None, 0.0)
+        row = summarize_run(
+            defense_profile("none"), report, list(ends.values()), None, 0.0
+        )
         assert row.teardown_seconds > 0.0
 
     def test_zero_on_free_kernel_scrubs_at_teardown(self):
@@ -216,14 +220,17 @@ class TestDefenseHooks:
             pagemap_world_readable=False,
             sanitize_policy=SanitizePolicy.ZERO_ON_FREE,
         )
-        hook = ScrapeDelayHook(0)
-        report = run_campaign(SMALL, kernel_config=config, teardown_hook=hook)
+        report, ends = _board_ends(kernel_config=config)
         assert report.success_rate == 0.0
         for outcome in report.outcomes:
             assert outcome.failed_step == "step 1-2 (observe/harvest)"
             assert outcome.frames_scrubbed_sync > 0
         row = summarize_run(
-            defense_profile("zero_on_free"), report, hook, None, 0.0
+            defense_profile("zero_on_free"),
+            report,
+            list(ends.values()),
+            None,
+            0.0,
         )
         assert row.teardown_seconds > 0.0
 
@@ -328,13 +335,11 @@ class TestDegenerateRows:
 
     def test_zero_victim_summarize_run_defines_every_rate(self):
         from repro.campaign.report import CampaignReport
-        from repro.defense import ScrapeDelayHook, defense_profile
+        from repro.defense import defense_profile
         from repro.defense.arena import summarize_run
 
         report = CampaignReport(spec=SMALL, outcomes=[])
-        row = summarize_run(
-            defense_profile("none"), report, ScrapeDelayHook(0), None, 0.0
-        )
+        row = summarize_run(defense_profile("none"), report, [], None, 0.0)
         assert row.victims == 0
         assert row.window_hit_rate == 0.0
         assert row.success_rate == 0.0
