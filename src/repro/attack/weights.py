@@ -134,6 +134,21 @@ def profile_weight_layout(
     return WeightLayoutProfile(model_name=model_name, buffers=tuple(buffers))
 
 
+def matching_bytes(left: bytes, right: bytes) -> int:
+    """Positions where the two buffers hold the same byte.
+
+    Compares the common prefix only, as ``zip`` would: bytes past the
+    shorter buffer's end never match.
+    """
+    common = min(len(left), len(right))
+    return int(
+        np.count_nonzero(
+            np.frombuffer(left, dtype=np.uint8, count=common)
+            == np.frombuffer(right, dtype=np.uint8, count=common)
+        )
+    )
+
+
 @dataclass(frozen=True)
 class ExtractedWeights:
     """Weights lifted from a victim dump."""
@@ -162,7 +177,7 @@ class ExtractedWeights:
                 array.tobytes() for array in self.arrays[layer.name]
             )
             total += len(payload)
-            matched += sum(1 for a, b in zip(recovered, payload) if a == b)
+            matched += matching_bytes(recovered, payload)
         if total == 0:
             raise ReconstructionError("no comparable weight buffers")
         return matched / total

@@ -17,6 +17,12 @@ under each requested profile and distills every run into one
   kernel config, scoring how much of a private model survives the
   profile.
 
+Every profile replays the same victims on the same images, so the
+sweep runs inside one :func:`~repro.vitis.memo.inference_memo`: each
+distinct inference is computed once, and later profiles reuse its
+output while their DPU jobs still move the bytes through DRAM.  The
+memo closes with the sweep.
+
 Offline prep happens once, on a vulnerable reference board — the
 adversary profiles on hardware they control; only the victims' fleet
 is defended.
@@ -45,6 +51,7 @@ from repro.errors import AttackError, EmptyMetricError, PermissionDeniedError
 from repro.evaluation.metrics import window_hit_rate
 from repro.evaluation.scenarios import BoardSession
 from repro.petalinux.kernel import KernelConfig
+from repro.vitis.memo import inference_memo
 from repro.vitis.xmodel import XModel
 from repro.vitis.zoo import build_model, fine_tune
 
@@ -178,35 +185,36 @@ def run_defense_arena(
     names = [profile.name for profile in resolved]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate profiles in sweep: {names}")
-    prep_profiles, database = prepare_offline(spec)
-    probe_prep = (
-        prepare_weight_probe(input_hw=spec.input_hw) if weight_theft else None
-    )
-    rows = []
-    for profile in resolved:
-        config = profile.kernel_config(spec)
-        ends: list[BoardEnd] = []
-        started = time.perf_counter()
-        report = run_campaign(
-            spec,
-            profiles=prep_profiles,
-            database=database,
-            kernel_config=config,
-            scrape_delay_ticks=scrape_delay_ticks,
-            on_board_complete=lambda board, end: ends.append(end),
+    with inference_memo():
+        prep_profiles, database = prepare_offline(spec)
+        probe_prep = (
+            prepare_weight_probe(input_hw=spec.input_hw) if weight_theft else None
         )
-        wall_seconds = time.perf_counter() - started
-        match = (
-            probe_weight_theft(
-                config,
-                input_hw=spec.input_hw,
-                delay_ticks=scrape_delay_ticks,
-                prepared=probe_prep,
+        rows = []
+        for profile in resolved:
+            config = profile.kernel_config(spec)
+            ends: list[BoardEnd] = []
+            started = time.perf_counter()
+            report = run_campaign(
+                spec,
+                profiles=prep_profiles,
+                database=database,
+                kernel_config=config,
+                scrape_delay_ticks=scrape_delay_ticks,
+                on_board_complete=lambda board, end: ends.append(end),
             )
-            if weight_theft
-            else None
-        )
-        rows.append(summarize_run(profile, report, ends, match, wall_seconds))
+            wall_seconds = time.perf_counter() - started
+            match = (
+                probe_weight_theft(
+                    config,
+                    input_hw=spec.input_hw,
+                    delay_ticks=scrape_delay_ticks,
+                    prepared=probe_prep,
+                )
+                if weight_theft
+                else None
+            )
+            rows.append(summarize_run(profile, report, ends, match, wall_seconds))
     return DefenseMatrix(
         spec=spec, scrape_delay_ticks=scrape_delay_ticks, rows=rows
     )

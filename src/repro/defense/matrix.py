@@ -46,6 +46,12 @@ def _is_non_finite(value: float | None) -> bool:
     return value is not None and not math.isfinite(value)
 
 
+HOST_TIME_COLUMNS = ("teardown_seconds", "wall_seconds")
+"""The :class:`DefenseRow` columns that time the host.  Every other
+column counts simulated work, a pure function of the sweep's spec,
+profiles and scrape delay."""
+
+
 @dataclass(frozen=True)
 class DefenseRow:
     """One profile's leakage-vs-overhead summary across the fleet."""

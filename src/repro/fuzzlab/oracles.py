@@ -58,7 +58,15 @@ The registry covers every cross-cutting contract the codebase claims:
     optional transport chaos (a
     :class:`~repro.campaign.runtime.netchaos.FlakyProxy` injecting
     scripted connection drops and full partitions) — writes a
-    ``report.json`` byte-identical to the single-host run's.
+    ``report.json`` byte-identical to the single-host run's;
+``memo_neutrality``
+    the per-sweep inference memo of :mod:`repro.vitis.memo` changes no
+    result: the monotonicity pair gives identical defense rows (host
+    time aside) and identical outcomes (spooled, so each dump digest
+    pins the scraped bytes) with and without an inference memo shared
+    across its two profiles.  The model memo's cold-versus-warm check
+    is ``fabric_identity``'s: the reference run starts from a cleared
+    model memo, and the threaded fabric run finds it warm.
 
 Violation messages carry only deterministic facts (digests, job ids,
 counts) — never wall-clock values or filesystem paths — so a fuzz
@@ -94,6 +102,7 @@ from repro.attack.identify import SignatureDatabase
 from repro.campaign.report import CampaignReport, OutcomeAccumulator
 from repro.campaign.schedule import CampaignSpec, VictimJob, build_schedule
 from repro.campaign.worker import VictimOutcome
+from repro.defense.matrix import HOST_TIME_COLUMNS, DefenseRow
 from repro.errors import OutOfMemoryError
 from repro.evaluation.metrics import nonzero_bytes
 from repro.hw.board import board_by_name
@@ -173,6 +182,16 @@ class MonotonicityArtifact:
     stronger_outcomes: tuple[VictimOutcome, ...]
 
 
+@dataclass(frozen=True)
+class ProfileRun:
+    """One profile's campaign as a defense sweep sees it."""
+
+    row: DefenseRow
+    outcomes: tuple[VictimOutcome, ...]
+    """Spooled, so every extracted outcome's dump digest pins the
+    bytes its attack scraped."""
+
+
 @dataclass
 class ScenarioWorld:
     """Everything the runner observed driving one scenario.
@@ -208,6 +227,10 @@ class ScenarioWorld:
     same spec (coordinator + ``scenario.fabric_workers`` workers,
     optional scripted kill); the ``fabric_identity`` oracle holds it
     against ``baseline_report_bytes``."""
+    pair_runs: tuple[ProfileRun, ...]
+    """The monotonicity pair, profile by profile."""
+    memo_pair_runs: tuple[ProfileRun, ...]
+    """The same pair re-run inside one inference memo."""
     notes: list[str] = field(default_factory=list)
 
     def sampling_rng(self, salt: int) -> random.Random:
@@ -870,3 +893,46 @@ def _allocation_trace(
     except (OutOfMemoryError, ValueError) as error:
         trace.append(f"{type(error).__name__}: {error}")
     return trace
+
+
+# -- 11. memoized vs recomputed model work ------------------------------------
+
+
+@oracle("memo_neutrality")
+def _memo_neutrality(world: ScenarioWorld) -> list[str]:
+    """The inference memo must not change a single result.
+
+    A warm model memo is held against the cold reference run by
+    ``fabric_identity``, whose threaded workers run with it warm.
+    """
+    problems = []
+    if len(world.memo_pair_runs) != len(world.pair_runs):
+        problems.append(
+            f"inference-memo pair has {len(world.memo_pair_runs)} run(s), "
+            f"the plain pair {len(world.pair_runs)}"
+        )
+    for plain, memoized in zip(world.pair_runs, world.memo_pair_runs):
+        profile = plain.row.profile
+        differing = sorted(
+            name
+            for name, value in vars(plain.row).items()
+            if name not in HOST_TIME_COLUMNS
+            and vars(memoized.row)[name] != value
+        )
+        if differing:
+            problems.append(
+                f"profile {profile!r} row under the inference memo "
+                f"differs in {', '.join(differing)}"
+            )
+        expected = {outcome.job_id: outcome for outcome in plain.outcomes}
+        got = {outcome.job_id: outcome for outcome in memoized.outcomes}
+        changed = sorted(
+            job for job in expected.keys() | got.keys()
+            if expected.get(job) != got.get(job)
+        )
+        if changed:
+            problems.append(
+                f"profile {profile!r}: job(s) {changed} came out "
+                f"differently under the inference memo"
+            )
+    return problems

@@ -14,7 +14,9 @@ no mocks, no shortcuts — collecting every artifact the oracles need:
 3. a coalesce-flipped campaign (batched ⇄ word-at-a-time extraction)
    for the extraction-equivalence oracle;
 4. a profile-vs-strengthened-profile campaign pair, run under the
-   scenario's scrape delay and executor, for the monotonicity oracle;
+   scenario's scrape delay and executor, for the monotonicity oracle,
+   and the same pair again inside one inference memo, as a defense
+   sweep runs it, for the memo-neutrality oracle;
 5. fast-path region maps over spooled residue for the differential
    scan oracles, plus mmap-backed re-reads of the same spool objects
    (``DumpSpool.open``) for the backing-equivalence oracle;
@@ -40,8 +42,8 @@ byte-deterministic for a given ``(seed, budget, oracles)``.
 from a fuzzer that cannot fire.  :data:`PLANTED_FAULTS` corrupts a
 *built* world in one precise way per fault name (a dropped region, a
 flipped report byte, a tampered spool object, an inflated residue
-count, a swallowed outcome, a skewed mmap probe) so the test suite can
-prove, end to end,
+count, a swallowed outcome, a skewed mmap probe, a drifted memoized
+row) so the test suite can prove, end to end,
 that each oracle detects its failure class, that the shrinker reduces
 a failing scenario, and that ``repro fuzz replay`` reproduces it from
 the serialized seed alone.
@@ -70,6 +72,7 @@ from repro.campaign.runtime.runner import CampaignRuntime
 from repro.campaign.runtime.spool import DumpSpool
 from repro.campaign.schedule import build_schedule
 from repro.campaign.worker import BoardEnd
+from repro.defense.arena import summarize_run
 from repro.defense.profiles import DefenseConfig, defense_profile
 from repro.errors import (
     CampaignInterrupted,
@@ -83,6 +86,7 @@ from repro.fuzzlab.oracles import (
     WORLD_INTEGRITY,
     BackingArtifact,
     MonotonicityArtifact,
+    ProfileRun,
     RegionMapArtifact,
     ScenarioWorld,
     Violation,
@@ -96,6 +100,7 @@ from repro.fuzzlab.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.vitis.memo import MODEL_MEMO, inference_memo
 
 MAX_ANALYZED_DUMPS = 3
 """Spool objects the analysis oracles read back per scenario (the
@@ -355,7 +360,10 @@ def build_world(scenario: Scenario, workdir: str | Path) -> ScenarioWorld:
     kernel_config = profile.kernel_config(spec)
     prep = (profiles, database)
 
-    # 1. The uninterrupted reference run.
+    # 1. The uninterrupted reference run, from a cold model memo; the
+    # fabric run of step 6 finds it warm, so fabric identity also holds
+    # memoized model work against this run.
+    MODEL_MEMO.clear()
     full = CampaignRuntime(
         spec,
         workdir / "full",
@@ -400,24 +408,40 @@ def build_world(scenario: Scenario, workdir: str | Path) -> ScenarioWorld:
         spool=DumpSpool(workdir / "alt-spool"),
     )
 
-    # 4. The monotonicity pair, under the scenario's scrape delay.
+    # 4. The monotonicity pair, under the scenario's scrape delay:
+    # plain, then inside one inference memo, where the second profile
+    # replays the first one's inferences.  Already-zeroing profiles
+    # strengthen to themselves and simply run twice.
     stronger, axis = strengthen(profile)
-    pair_reports = [
-        run_campaign(
-            spec,
-            profiles,
-            database,
-            kernel_config=config.kernel_config(spec),
-            scrape_delay_ticks=scenario.scrape_delay_ticks,
-            executor=scenario.executor,
-            processes=scenario.processes,
-        )
-        for config in ((profile,) if stronger is profile else (profile, stronger))
-    ]
-    if stronger is profile:
-        # Already-zeroing profiles strengthen to themselves; the oracle
-        # still asserts residue == 0 on the single run's outcomes.
-        pair_reports.append(pair_reports[0])
+    pair_spool = DumpSpool(workdir / "pair-spool")
+
+    def run_pair() -> tuple[ProfileRun, ...]:
+        runs = []
+        for config in (profile, stronger):
+            ends: list[BoardEnd] = []
+            report = run_campaign(
+                spec,
+                profiles,
+                database,
+                kernel_config=config.kernel_config(spec),
+                scrape_delay_ticks=scenario.scrape_delay_ticks,
+                executor=scenario.executor,
+                processes=scenario.processes,
+                spool=pair_spool,
+                on_board_complete=lambda board, end: ends.append(end),
+            )
+            runs.append(
+                ProfileRun(
+                    # The oracle compares no host-time column.
+                    row=summarize_run(config, report, ends, None, 0.0),
+                    outcomes=tuple(report.outcomes),
+                )
+            )
+        return tuple(runs)
+
+    pair_runs = run_pair()
+    with inference_memo():
+        memo_pair_runs = run_pair()
 
     # 5. Read residue back from the spool; map it with the fast paths.
     spool = full.run_dir.spool
@@ -455,7 +479,8 @@ def build_world(scenario: Scenario, workdir: str | Path) -> ScenarioWorld:
             )
 
     # 6. The same spec through the distributed fabric (coordinator +
-    # fabric_workers threaded workers, optional scripted casualty).
+    # fabric_workers threaded workers, optional scripted casualty), in
+    # this process, whose model memo step 3 has warmed.
     fabric_bytes = _fabric_run(scenario, spec, workdir / "fabric", prep)
 
     world = ScenarioWorld(
@@ -478,10 +503,12 @@ def build_world(scenario: Scenario, workdir: str | Path) -> ScenarioWorld:
             base_profile=profile.name,
             stronger_profile=stronger.name,
             stronger_axis=axis,
-            base_outcomes=tuple(pair_reports[0].outcomes),
-            stronger_outcomes=tuple(pair_reports[1].outcomes),
+            base_outcomes=pair_runs[0].outcomes,
+            stronger_outcomes=pair_runs[1].outcomes,
         ),
         fabric_report_bytes=fabric_bytes,
+        pair_runs=pair_runs,
+        memo_pair_runs=memo_pair_runs,
     )
     if scenario.planted_fault is not None:
         plant_fault(world, scenario.planted_fault)
@@ -597,6 +624,20 @@ def _plant_fabric_lost_outcome(world: ScenarioWorld) -> None:
     world.fabric_report_bytes = (report.to_json() + "\n").encode("utf-8")
 
 
+def _plant_memo_tamper(world: ScenarioWorld) -> None:
+    """Skew the residue of the last row computed under the inference memo.
+
+    What a memo returning a stale or foreign output would do: the
+    sweep's numbers drift from the plain run's.
+    """
+    runs = list(world.memo_pair_runs)
+    row = runs[-1].row
+    runs[-1] = replace(
+        runs[-1], row=replace(row, residue_bytes=row.residue_bytes + 1)
+    )
+    world.memo_pair_runs = tuple(runs)
+
+
 PLANTED_FAULTS: dict[str, Callable[[ScenarioWorld], None]] = {
     "map-tamper": _plant_map_tamper,
     "resume-tamper": _plant_resume_tamper,
@@ -605,6 +646,7 @@ PLANTED_FAULTS: dict[str, Callable[[ScenarioWorld], None]] = {
     "report-tamper": _plant_report_tamper,
     "backing-tamper": _plant_backing_tamper,
     "fabric-lost-outcome": _plant_fabric_lost_outcome,
+    "memo-tamper": _plant_memo_tamper,
 }
 """Deliberate world corruptions, each aimed at one oracle's failure
 class.  Part of the public surface: a committed regression seed with a

@@ -150,8 +150,11 @@ def install_vitis_ai(rootfs: RootFs, input_hw: int = 32) -> list[str]:
     Mirrors the paper's setup step 3 ("we installed the Vitis AI
     runtime on the target board, which provides various pre-built
     machine learning models").  Returns the installed xmodel paths.
+    Every board installs the same files, so their bytes come from the
+    model memo (:func:`repro.vitis.memo.installed_xmodel`).
     """
-    from repro.vitis.zoo import MODEL_NAMES, build_model, model_install_path
+    from repro.vitis.memo import installed_xmodel
+    from repro.vitis.zoo import MODEL_NAMES, model_install_path
 
     rootfs.write_file(
         "/usr/lib/libvart-runner.so.3.5", b"\x7fELF\x02\x01\x01" + b"\x00" * 57
@@ -162,6 +165,6 @@ def install_vitis_ai(rootfs: RootFs, input_hw: int = 32) -> list[str]:
     installed = []
     for name in MODEL_NAMES:
         path = model_install_path(name)
-        rootfs.write_file(path, build_model(name, input_hw=input_hw).serialize())
+        rootfs.write_file(path, installed_xmodel(name, input_hw))
         installed.append(path)
     return installed

@@ -16,9 +16,10 @@ from repro.petalinux.kernel import PetaLinuxKernel
 from repro.petalinux.process import Process
 from repro.petalinux.shell import Shell
 from repro.vitis.image import Image
+from repro.vitis.memo import LoadedModel, installed_xmodel, load_xmodel
 from repro.vitis.runner import DpuRunner, InferenceResult
 from repro.vitis.xmodel import XModel
-from repro.vitis.zoo import build_model, model_install_path
+from repro.vitis.zoo import model_install_path
 
 
 @dataclass
@@ -67,25 +68,27 @@ class VictimApplication:
         """Input edge length every model on this board uses."""
         return self._input_hw
 
-    def _load_installed_model(self, model_name: str) -> XModel:
+    def _load_installed_model(self, model_name: str) -> LoadedModel:
         """Read the xmodel from the rootfs, like the real application.
 
-        Falls back to building from the zoo when the library is not
-        installed on this board, or when the installed model was built
-        for a different input size than this application targets.
+        Falls back to the zoo's build when the library is not installed
+        on this board, or when the installed model was built for a
+        different input size than this application targets.  Either
+        way the file is parsed through the model memo, once per blob.
         """
         from repro.errors import OsError
 
         rootfs = self._shell.kernel.rootfs
-        path = model_install_path(model_name)
         try:
-            blob = rootfs.read_file(path, caller=self._shell.user)
+            blob = rootfs.read_file(
+                model_install_path(model_name), caller=self._shell.user
+            )
         except OsError:
-            return build_model(model_name, input_hw=self._input_hw)
-        model = XModel.parse(blob)
-        if model.subgraph.input_height != self._input_hw:
-            return build_model(model_name, input_hw=self._input_hw)
-        return model
+            blob = installed_xmodel(model_name, self._input_hw)
+        loaded = load_xmodel(blob)
+        if loaded.model.subgraph.input_height != self._input_hw:
+            loaded = load_xmodel(installed_xmodel(model_name, self._input_hw))
+        return loaded
 
     def launch(
         self,
@@ -109,14 +112,20 @@ class VictimApplication:
         the file bytes are what land in the heap); boards without the
         installation fall back to building the model directly.
         """
-        if model is None:
-            model = self._load_installed_model(model_name)
+        loaded = (
+            self._load_installed_model(model_name)
+            if model is None
+            else LoadedModel.of(model)
+        )
         process = self._shell.run(
             [f"./{model_name}", model_install_path(model_name), image_path]
         )
-        runner = DpuRunner(process, self._shell.kernel.dpu, model)
+        runner = DpuRunner(process, self._shell.kernel.dpu, loaded)
         run = VictimRun(
-            kernel=self._shell.kernel, process=process, model=model, runner=runner
+            kernel=self._shell.kernel,
+            process=process,
+            model=loaded.model,
+            runner=runner,
         )
         if infer:
             if image is None:

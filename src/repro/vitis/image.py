@@ -14,6 +14,7 @@ buffer, so the simulation works directly with decoded pixels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,27 @@ WHITE_MARKER = (0xFF, 0xFF, 0xFF)
 
 PROFILING_MARKER = (0x55, 0x55, 0x55)
 """The offline-profiling marker (pixels forced to 0x555555)."""
+
+
+@lru_cache(maxsize=16)
+def _test_pattern_base(
+    width: int, height: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seed-free part of a test pattern, shared read-only per size.
+
+    Returns the float gradient planes (height x width x 3) and the
+    ``mgrid`` row and column indices the seeded discs are drawn over.
+    """
+    ys = np.linspace(0.0, 1.0, height)[:, None]
+    xs = np.linspace(0.0, 1.0, width)[None, :]
+    red = 255.0 * xs * np.ones_like(ys)
+    green = 255.0 * ys * np.ones_like(xs)
+    blue = 255.0 * (0.5 + 0.5 * np.sin(6.0 * np.pi * (xs + ys) / 2.0))
+    planes = np.stack([red, green, blue], axis=2)
+    yy, xx = np.mgrid[0:height, 0:width]
+    for array in (planes, yy, xx):
+        array.flags.writeable = False
+    return planes, yy, xx
 
 
 @dataclass(frozen=True)
@@ -59,14 +81,9 @@ class Image:
         """
         if width <= 0 or height <= 0:
             raise ImageFormatError(f"bad dimensions {width}x{height}")
-        ys = np.linspace(0.0, 1.0, height)[:, None]
-        xs = np.linspace(0.0, 1.0, width)[None, :]
-        red = 255.0 * xs * np.ones_like(ys)
-        green = 255.0 * ys * np.ones_like(xs)
-        blue = 255.0 * (0.5 + 0.5 * np.sin(6.0 * np.pi * (xs + ys) / 2.0))
-        pixels = np.stack([red, green, blue], axis=2)
+        planes, yy, xx = _test_pattern_base(width, height)
+        pixels = planes.copy()
         rng = np.random.default_rng(seed)
-        yy, xx = np.mgrid[0:height, 0:width]
         for _ in range(4):
             cx = rng.uniform(0.2, 0.8) * width
             cy = rng.uniform(0.2, 0.8) * height

@@ -8,6 +8,10 @@ the process's deterministic bump arena, so buffer offsets from the
 heap base are a pure function of the model — the invariant the
 paper's offline profiling exploits.
 
+The bytes a load writes are a pure function of the model file, so
+:mod:`repro.vitis.memo` derives them once per file; the writes
+themselves stay per process.
+
 Buffer order (all in the heap, ascending):
 
 1. runtime metadata blob (library paths, handle tables),
@@ -27,6 +31,7 @@ from repro.hw.dpu import DpuCore, DpuJob
 from repro.mmu.paging import PAGE_MASK, PAGE_SHIFT
 from repro.petalinux.process import Process
 from repro.vitis.image import Image
+from repro.vitis.memo import MODEL_MEMO, LoadedModel, dpu_kernel
 from repro.vitis.xmodel import XModel
 
 RUNTIME_LIBRARY_STRINGS = (
@@ -45,7 +50,7 @@ for the allocator chatter, handle tables and library structures a real
 VART process accumulates before the model file lands in the heap."""
 
 
-def _runtime_blob(length: int, seed: int = 0x5EED) -> bytes:
+def build_runtime_blob(length: int, seed: int = 0x5EED) -> bytes:
     """Deterministic runtime-metadata filler with embedded strings."""
     rng = np.random.default_rng(seed)
     body = bytearray(rng.integers(0, 256, size=length, dtype=np.uint8).tobytes())
@@ -57,6 +62,13 @@ def _runtime_blob(length: int, seed: int = 0x5EED) -> bytes:
         body[cursor : cursor + len(encoded)] = encoded
         cursor += len(encoded) + 192
     return bytes(body)
+
+
+def runtime_blob(length: int) -> bytes:
+    """:func:`build_runtime_blob` at the fixed seed, from the model memo."""
+    return MODEL_MEMO.lookup(
+        ("runtime", length), lambda: build_runtime_blob(length), len
+    )
 
 
 @dataclass(frozen=True)
@@ -75,38 +87,43 @@ class InferenceResult:
 
 
 class DpuRunner:
-    """One model loaded into one process, executable on the DPU."""
+    """One model loaded into one process, executable on the DPU.
+
+    *loaded* comes from :func:`~repro.vitis.memo.load_xmodel` for a
+    stock model file, or from :meth:`~repro.vitis.memo.LoadedModel.of`
+    for any other :class:`~repro.vitis.xmodel.XModel`.
+    """
 
     def __init__(
         self,
         process: Process,
         dpu: DpuCore,
-        model: XModel,
+        loaded: LoadedModel,
         runtime_overhead: int = DEFAULT_RUNTIME_OVERHEAD,
     ) -> None:
         if process.heap_arena is None:
             raise ValueError(f"pid {process.pid} has no heap arena")
         self._process = process
         self._dpu = dpu
-        self._model = model
+        self._loaded = loaded
+        self._model = loaded.model
         arena = process.heap_arena
         heap = process.address_space.heap()
         assert heap is not None
         self._heap_base = heap.start
 
         self.runtime_blob_address = arena.allocate_and_write(
-            _runtime_blob(runtime_overhead)
+            runtime_blob(runtime_overhead)
         )
-        self.model_blob_address = arena.allocate_and_write(model.serialize())
-        self.weight_addresses: list[int] = []
-        for layer in model.subgraph.layers:
-            payload = layer.weight_bytes()
-            if payload:
-                self.weight_addresses.append(arena.allocate_and_write(payload))
-        input_nbytes = model.subgraph.input_height * model.subgraph.input_width * 3
+        self.model_blob_address = arena.allocate_and_write(loaded.blob)
+        self.weight_addresses = [
+            arena.allocate_and_write(payload) for payload in loaded.payloads
+        ]
+        subgraph = self._model.subgraph
+        input_nbytes = subgraph.input_height * subgraph.input_width * 3
         self.input_address = arena.allocate(input_nbytes)
         self.input_nbytes = input_nbytes
-        output_classes = model.subgraph.output_classes()
+        output_classes = subgraph.output_classes()
         self.output_address = arena.allocate(output_classes)
         self.output_nbytes = output_classes
         self.runs_completed = 0
@@ -180,7 +197,7 @@ class DpuRunner:
         assert arena is not None
         arena.write(self.input_address, image.to_raw_rgb())
         job = DpuJob(
-            kernel=self._model.subgraph,
+            kernel=dpu_kernel(self._loaded),
             input_segments=self._physical_segments(
                 self.input_address, self.input_nbytes
             ),

@@ -5,7 +5,12 @@ import pytest
 
 from repro.attack.addressing import AddressHarvester
 from repro.attack.extraction import MemoryScraper
-from repro.attack.weights import WeightExtractor, profile_weight_layout
+from repro.attack.weights import (
+    ExtractedWeights,
+    WeightExtractor,
+    matching_bytes,
+    profile_weight_layout,
+)
 from repro.errors import ReconstructionError
 from repro.evaluation.scenarios import BoardSession
 from repro.vitis.zoo import build_model, fine_tune
@@ -131,6 +136,49 @@ class TestWeightExtraction:
         )
         with pytest.raises(ReconstructionError):
             WeightExtractor(layout).extract(tiny)
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            (b"", b""),
+            (b"", b"abc"),
+            (b"abc", b""),
+            (b"abcdef", b"abcdef"),
+            (b"abcdef", b"abXdeY"),
+            (b"abcdef", b"abc"),
+            (b"ab", b"abcdef"),
+            (bytes(range(256)), bytes(reversed(range(256)))),
+        ],
+    )
+    def test_matching_bytes_counts_like_the_zip_loop(self, left, right):
+        loop = sum(1 for a, b in zip(left, right) if a == b)
+        assert matching_bytes(left, right) == loop
+
+    def test_match_fraction_counts_like_the_zip_loop(self):
+        """Recovered layers shorter than, equal to and unlike the model's."""
+        reference = build_model("resnet50_pt", input_hw=INPUT_HW)
+        private = fine_tune(reference, seed=5)
+        arrays = {}
+        for index, layer in enumerate(private.subgraph.layers):
+            pieces = tuple(
+                array
+                for array in (layer.weights, layer.extra_weights)
+                if array is not None
+            )
+            if pieces and index % 3 == 0:
+                pieces = (pieces[0].reshape(-1)[: pieces[0].size // 2],)
+            if pieces:
+                arrays[layer.name] = pieces
+        extracted = ExtractedWeights(model_name="resnet50_pt", arrays=arrays)
+        matched = total = 0
+        for layer in reference.subgraph.layers:
+            payload = layer.weight_bytes()
+            if not payload or layer.name not in arrays:
+                continue
+            recovered = b"".join(array.tobytes() for array in arrays[layer.name])
+            total += len(payload)
+            matched += sum(1 for a, b in zip(recovered, payload) if a == b)
+        assert extracted.match_fraction(reference) == matched / total
 
     def test_match_fraction_requires_comparable_layers(self):
         from repro.attack.extraction import ScrapedDump

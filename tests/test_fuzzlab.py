@@ -158,6 +158,7 @@ class TestOracleRegistry:
             "defense_monotonicity",
             "extraction_equivalence",
             "fabric_identity",
+            "memo_neutrality",
             "region_partition",
             "report_consistency",
             "resume_identity",
@@ -258,6 +259,7 @@ class TestPlantedFaults:
         "report-tamper": "report_consistency",
         "backing-tamper": "backing_equivalence",
         "fabric-lost-outcome": "fabric_identity",
+        "memo-tamper": "memo_neutrality",
     }
 
     def test_every_fault_has_an_expectation(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.petalinux.shell import Shell
 from repro.vitis.app import VictimApplication
 from repro.vitis.image import Image
+from repro.vitis.memo import LoadedModel
 from repro.vitis.runner import DpuRunner
 from repro.vitis.zoo import build_model
 
@@ -23,7 +24,7 @@ class TestRunnerLayout:
         _, victim_shell = shells
         process = victim_shell.run(["./resnet50_pt"])
         model = build_model("resnet50_pt", input_hw=INPUT_HW)
-        runner = DpuRunner(process, victim_shell.kernel.dpu, model)
+        runner = DpuRunner(process, victim_shell.kernel.dpu, LoadedModel.of(model))
         assert runner.runtime_blob_address < runner.model_blob_address
         assert runner.model_blob_address < runner.input_address
         assert runner.input_address < runner.output_address
@@ -33,8 +34,8 @@ class TestRunnerLayout:
         offsets = []
         for _ in range(2):
             process = victim_shell.run(["./resnet50_pt"])
-            model = build_model("resnet50_pt", input_hw=INPUT_HW)
-            runner = DpuRunner(process, victim_shell.kernel.dpu, model)
+            loaded = LoadedModel.of(build_model("resnet50_pt", input_hw=INPUT_HW))
+            runner = DpuRunner(process, victim_shell.kernel.dpu, loaded)
             offsets.append(runner.input_heap_offset)
             victim_shell.kernel.exit_process(process.pid)
         assert offsets[0] == offsets[1]
@@ -44,8 +45,8 @@ class TestRunnerLayout:
         offsets = {}
         for name in ("resnet50_pt", "squeezenet_pt"):
             process = victim_shell.run([f"./{name}"])
-            model = build_model(name, input_hw=INPUT_HW)
-            runner = DpuRunner(process, victim_shell.kernel.dpu, model)
+            loaded = LoadedModel.of(build_model(name, input_hw=INPUT_HW))
+            runner = DpuRunner(process, victim_shell.kernel.dpu, loaded)
             offsets[name] = runner.input_heap_offset
             victim_shell.kernel.exit_process(process.pid)
         assert offsets["resnet50_pt"] != offsets["squeezenet_pt"]
@@ -54,7 +55,7 @@ class TestRunnerLayout:
         _, victim_shell = shells
         process = victim_shell.run(["./resnet50_pt"])
         model = build_model("resnet50_pt", input_hw=INPUT_HW)
-        runner = DpuRunner(process, victim_shell.kernel.dpu, model)
+        runner = DpuRunner(process, victim_shell.kernel.dpu, LoadedModel.of(model))
         blob = process.heap_arena.read(
             runner.model_blob_address, len(model.serialize())
         )
@@ -64,7 +65,7 @@ class TestRunnerLayout:
         _, victim_shell = shells
         process = victim_shell.run(["./resnet50_pt"])
         model = build_model("resnet50_pt", input_hw=INPUT_HW)
-        DpuRunner(process, victim_shell.kernel.dpu, model)
+        DpuRunner(process, victim_shell.kernel.dpu, LoadedModel.of(model))
         heap = process.address_space.heap()
         data = process.address_space.read_virtual(heap.start, heap.length)
         assert b"/usr/lib/libvart-runner.so.3.5" in data
@@ -74,7 +75,11 @@ class TestRunnerLayout:
         process = victim_shell.run(["./x"])
         process.heap_arena = None
         with pytest.raises(ValueError):
-            DpuRunner(process, kernel.dpu, build_model("resnet50_pt", INPUT_HW))
+            DpuRunner(
+                process,
+                kernel.dpu,
+                LoadedModel.of(build_model("resnet50_pt", INPUT_HW)),
+            )
 
 
 class TestInference:

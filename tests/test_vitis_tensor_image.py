@@ -66,6 +66,46 @@ class TestImageConstruction:
         with pytest.raises(ImageFormatError):
             Image.test_pattern(0, 4)
 
+    @staticmethod
+    def _uncached_test_pattern(width: int, height: int, seed: int) -> np.ndarray:
+        """The test pattern built from scratch, planes and grid included."""
+        ys = np.linspace(0.0, 1.0, height)[:, None]
+        xs = np.linspace(0.0, 1.0, width)[None, :]
+        red = 255.0 * xs * np.ones_like(ys)
+        green = 255.0 * ys * np.ones_like(xs)
+        blue = 255.0 * (0.5 + 0.5 * np.sin(6.0 * np.pi * (xs + ys) / 2.0))
+        pixels = np.stack([red, green, blue], axis=2)
+        rng = np.random.default_rng(seed)
+        yy, xx = np.mgrid[0:height, 0:width]
+        for _ in range(4):
+            cx = rng.uniform(0.2, 0.8) * width
+            cy = rng.uniform(0.2, 0.8) * height
+            radius = rng.uniform(0.08, 0.2) * min(width, height)
+            colour = rng.uniform(0, 255, size=3)
+            disc = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2
+            pixels[disc] = colour
+        return np.clip(pixels, 0, 255).astype(np.uint8)
+
+    @pytest.mark.parametrize(
+        "width,height",
+        [(1, 1), (2, 3), (8, 5), (16, 16), (17, 31), (32, 32), (48, 24), (224, 224)],
+    )
+    def test_cached_planes_match_the_uncached_construction(self, width, height):
+        for seed in (0, 1, 7, 42, 2**31 - 1):
+            expected = self._uncached_test_pattern(width, height, seed)
+            pixels = Image.test_pattern(width, height, seed=seed).pixels
+            assert pixels.dtype == expected.dtype
+            assert np.array_equal(pixels, expected), (width, height, seed)
+
+    def test_cached_planes_never_leak_between_images(self):
+        first = Image.test_pattern(16, 16, seed=3)
+        assert first.pixels.flags.writeable
+        first.pixels[:] = 0
+        assert np.array_equal(
+            Image.test_pattern(16, 16, seed=3).pixels,
+            self._uncached_test_pattern(16, 16, 3),
+        )
+
     def test_wrong_dtype_rejected(self):
         with pytest.raises(ImageFormatError):
             Image(np.zeros((4, 4, 3), dtype=np.float32))
