@@ -8,11 +8,12 @@ export PYTHONPATH := src
 
 # Run the docs gate AND the test suite even when the first fails, then
 # report both statuses — a docs slip must never mask a test failure
-# (or vice versa).
+# (or vice versa).  pytest lists the 15 slowest tests, so a CI log
+# shows where the suite's wall time goes.
 test:
 	@docs_status=0; pytest_status=0; \
 	$(PYTHON) tools/docs_check.py || docs_status=$$?; \
-	$(PYTHON) -m pytest -x -q || pytest_status=$$?; \
+	$(PYTHON) -m pytest -x -q --durations=15 || pytest_status=$$?; \
 	echo "----------------------------------------"; \
 	echo "docs-check: $$([ $$docs_status -eq 0 ] && echo PASS || echo "FAIL (exit $$docs_status)")"; \
 	echo "pytest:     $$([ $$pytest_status -eq 0 ] && echo PASS || echo "FAIL (exit $$pytest_status)")"; \

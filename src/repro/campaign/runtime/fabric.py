@@ -18,7 +18,8 @@ plain TCP socket — its framing, refusal envelope and digest-verified
 dump fields.  Ops::
 
     hello           -> spec + offline prep + defense profile + lease TTL
-    claim           -> a board lease (or "nothing pending" / "done")
+    claim           -> a board lease (or "nothing pending" / "done");
+                       ``wait`` says whether the worker polls again
     heartbeat       -> extend a lease's deadline
     wave            -> journal one wave of outcomes under a lease
     board_complete  -> mark a leased board finished
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import os
 import socket
-import socketserver
 import tempfile
 import threading
 import time
@@ -270,42 +270,15 @@ class LeaseTable:
         }
 
 
-class _FabricServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    coordinator: "FabricCoordinator"
+@dataclass
+class _WorkerState:
+    """A worker the coordinator has heard from, as
+    :meth:`FabricCoordinator.close` sees it."""
 
-
-class _FabricHandler(socketserver.StreamRequestHandler):
-    """One connected peer: read a request line, write a response line.
-
-    A torn, unparseable or over-long line gets one ``bad-request``
-    refusal and the connection is dropped (see :mod:`repro.wire`);
-    coordinator state is untouched either way.
-    """
-
-    def handle(self) -> None:
-        while True:
-            try:
-                request = wire.read_request(self.rfile)
-            except ProtocolError as exc:
-                self._reply(wire.refusal(exc))
-                return
-            except OSError:
-                return
-            if request is None:
-                return  # peer closed the stream
-            response = self.server.coordinator.handle_request(request)
-            if not self._reply(response):
-                return  # peer died mid-reply; its lease will expire
-
-    def _reply(self, payload: dict) -> bool:
-        try:
-            self.wfile.write(wire.encode(payload))
-            self.wfile.flush()
-        except OSError:
-            return False
-        return True
+    heard: float
+    """Coordinator clock when its last answered request arrived."""
+    settled: bool = False
+    """Answered ``done``, or an empty claim it will not poll after."""
 
 
 class FabricCoordinator:
@@ -344,15 +317,17 @@ class FabricCoordinator:
         self._spec = spec
         self._spool = run_dir.spool
         self._lease_ttl = lease_ttl
+        self._clock = clock
         self._prep = prep
         self._defense_profile = defense_profile
         self._started = time.perf_counter()
 
         self._lock = threading.Lock()
+        # Wakes close() whenever a request has been answered.
+        self._answered_cv = threading.Condition(self._lock)
         self._finished = threading.Event()
         self._report: CampaignReport | None = None
-        self._server: _FabricServer | None = None
-        self._server_thread: threading.Thread | None = None
+        self._listener: wire.AcceptLoop | None = None
 
         journal = run_dir.load_journal()
         journaled = [
@@ -366,7 +341,7 @@ class FabricCoordinator:
         self._duplicates_rejected = 0
         self._dumps_received = 0
         self._dumps_deduplicated = 0
-        self._workers: set[str] = set()
+        self._workers: dict[str, _WorkerState] = {}
 
         # Boards the schedule assigned nothing to complete immediately,
         # exactly as the local executors report them — the lease table
@@ -434,10 +409,9 @@ class FabricCoordinator:
     @property
     def address(self) -> tuple[str, int]:
         """``(host, port)`` the coordinator is listening on."""
-        if self._server is None:
+        if self._listener is None:
             raise FabricError("coordinator is not serving")
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
+        return self._listener.address
 
     @property
     def done(self) -> bool:
@@ -450,34 +424,39 @@ class FabricCoordinator:
         """Start listening (``port=0`` binds an ephemeral port).
 
         Returns the bound address.  The accept loop runs on a daemon
-        thread; call :meth:`close` (or leave the ``with`` block) to
-        stop it.
+        thread and each connection on a daemon thread of its own; call
+        :meth:`close` (or leave the ``with`` block) to stop accepting.
         """
-        if self._server is not None:
+        if self._listener is not None:
             raise FabricError("coordinator is already serving")
-        server = _FabricServer((host, port), _FabricHandler)
-        server.coordinator = self
-        self._server = server
-        self._server_thread = threading.Thread(
-            target=server.serve_forever,
-            name="fabric-coordinator",
-            daemon=True,
+        self._listener = wire.AcceptLoop(
+            (host, port), self._accept, name="fabric-coordinator"
         )
-        self._server_thread.start()
         return self.address
 
     def close(self) -> None:
-        """Stop accepting connections.  Idempotent."""
-        server, self._server = self._server, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-        if self._server_thread is not None:
-            self._server_thread.join(timeout=10)
-            self._server_thread = None
+        """Stop accepting connections.  Idempotent.
+
+        Once the campaign has finished, the listener first stays open
+        until every worker that said ``hello`` or claimed is settled:
+        answered
+        ``done``, answered an empty claim that said it would not wait
+        (``--no-wait``), or silent for one lease TTL on the
+        coordinator's clock.  So a worker that polls, or one that is
+        reconnecting after a dropped link, still hears ``done`` instead
+        of dialing a closed port.  Before the finish nothing is owed:
+        the run directory is resumable and the listener stops at once.
+        Connections already open stay served either way.
+        """
+        if self._listener is None:
+            return
+        if self._finished.is_set():
+            self._await_settled_workers()
+        listener, self._listener = self._listener, None
+        listener.close()
 
     def __enter__(self) -> "FabricCoordinator":
-        if self._server is None:
+        if self._listener is None:
             self.serve()
         return self
 
@@ -527,6 +506,89 @@ class FabricCoordinator:
                 "done": self._finished.is_set(),
             }
 
+    # -- connections ---------------------------------------------------------
+
+    def _accept(self, conn: socket.socket) -> None:
+        threading.Thread(
+            target=self._serve_connection,
+            args=(conn,),
+            name="fabric-connection",
+            daemon=True,
+        ).start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """One connected peer: read a request line, write a response line.
+
+        A torn, unparseable or over-long line gets one ``bad-request``
+        refusal and the connection is dropped (see :mod:`repro.wire`);
+        coordinator state is untouched either way.  ``handle_request``
+        is looked up per request, so a wrapper installed on the class
+        while the coordinator serves sees every op.
+        """
+        worker: str | None = None
+        with conn, conn.makefile("rb") as stream:
+            while True:
+                try:
+                    request = wire.read_request(stream)
+                except ProtocolError as exc:
+                    self._reply(conn, wire.refusal(exc))
+                    return
+                except OSError:
+                    return
+                if request is None:
+                    return  # peer closed the stream
+                if "worker" in request:
+                    worker = str(request["worker"])
+                heard = self._clock()
+                response = self.handle_request(request)
+                if not self._reply(conn, response):
+                    return  # peer died mid-reply; its lease will expire
+                self._answered(worker, heard, request, response)
+
+    @staticmethod
+    def _reply(conn: socket.socket, payload: dict) -> bool:
+        try:
+            conn.sendall(wire.encode(payload))
+        except OSError:
+            return False
+        return True
+
+    def _answered(
+        self, worker: str | None, heard: float, request: dict, response: dict
+    ) -> None:
+        """Note a reply *worker* received to a request *heard* at that
+        clock reading, and wake :meth:`close`."""
+        with self._answered_cv:
+            state = self._workers.get(worker)
+            if state is not None:
+                state.heard = heard
+                if request.get("op") == "claim" and response["ok"]:
+                    # A worker that polls says so in its claims; one
+                    # that does not leaves after an empty answer.
+                    state.settled = response["board"] is None and (
+                        response["done"] or request.get("wait") is False
+                    )
+            self._answered_cv.notify_all()
+
+    def _await_settled_workers(self) -> None:
+        """Block until no worker is owed a ``done`` (see :meth:`close`).
+
+        Every answered request wakes the wait; the timeout only marks
+        when the next silent worker times out.
+        """
+        with self._answered_cv:
+            while True:
+                # Workers last heard before the cutoff count as silent.
+                cutoff = self._clock() - self._lease_ttl
+                owed = [
+                    state.heard
+                    for state in self._workers.values()
+                    if not state.settled and state.heard > cutoff
+                ]
+                if not owed:
+                    return
+                self._answered_cv.wait(min(owed) - cutoff)
+
     # -- request dispatch ----------------------------------------------------
 
     def handle_request(self, request: dict) -> dict:
@@ -538,7 +600,9 @@ class FabricCoordinator:
         profiles, database = self._offline_prep()
         with self._lock:
             if worker:
-                self._workers.add(worker)
+                # A worker saying hello is owed a ``done`` again, even
+                # if an earlier connection of its was settled.
+                self._workers[worker] = _WorkerState(heard=self._clock())
         return {
             "format": FABRIC_FORMAT,
             "spec": spec_to_dict(self._spec),
@@ -552,7 +616,7 @@ class FabricCoordinator:
     def _op_claim(self, request: dict) -> dict:
         worker = str(request["worker"])
         with self._lock:
-            self._workers.add(worker)
+            self._workers.setdefault(worker, _WorkerState(heard=self._clock()))
             if self._table.done:
                 return {"board": None, "lease": None, "done": True}
             lease = self._table.claim(worker)
@@ -1048,7 +1112,9 @@ class FabricWorker:
 
     *poll_interval=None* makes ``run()`` return as soon as no lease is
     claimable (drain-and-exit — what in-process drills want);
-    otherwise the worker polls until the campaign is done.
+    otherwise the worker polls until the campaign is done.  Each claim
+    says which (its ``wait`` field), so a finished coordinator knows
+    whether to keep listening until this worker hears ``done``.
 
     **Self-healing.**  All traffic flows through a
     :class:`ResilientFabricClient` under *retry_policy*: connection
@@ -1217,7 +1283,11 @@ class FabricWorker:
         stats: dict,
     ) -> None:
         while True:
-            claim = client.request("claim", worker=self.worker_id)
+            claim = client.request(
+                "claim",
+                worker=self.worker_id,
+                wait=self._poll_interval is not None,
+            )
             if claim["board"] is None:
                 if claim["done"] or self._poll_interval is None:
                     return

@@ -45,6 +45,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.wire import AcceptLoop
+
 
 @dataclass(frozen=True)
 class ChaosScript:
@@ -140,10 +142,8 @@ class FlakyProxy:
     ) -> None:
         self._upstream = upstream
         self._script = script or ChaosScript()
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
+        self._listener: AcceptLoop | None = None
         self._partitioned = threading.Event()
-        self._closed = threading.Event()
         self._lock = threading.Lock()
         self._links: set[_Link] = set()
         self._requests_seen = 0
@@ -154,6 +154,7 @@ class FlakyProxy:
             "tears_injected": 0,
             "stalls_injected": 0,
             "partition_rejects": 0,
+            "upstream_failures": 0,
         }
 
     # -- lifecycle -----------------------------------------------------------
@@ -162,11 +163,9 @@ class FlakyProxy:
         """Listen on an ephemeral port; returns ``(host, port)``."""
         if self._listener is not None:
             raise RuntimeError("proxy is already started")
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="flaky-proxy", daemon=True
+        self._listener = AcceptLoop(
+            ("127.0.0.1", 0), self._accept, name="flaky-proxy"
         )
-        self._accept_thread.start()
         return self.address
 
     @property
@@ -174,30 +173,14 @@ class FlakyProxy:
         """The proxy's listening address."""
         if self._listener is None:
             raise RuntimeError("proxy is not started")
-        host, port = self._listener.getsockname()[:2]
-        return str(host), int(port)
+        return self._listener.address
 
     def close(self) -> None:
         """Stop listening and cut every live connection.  Idempotent."""
-        self._closed.set()
         listener, self._listener = self._listener, None
         if listener is not None:
-            try:
-                # close() alone does not wake a thread blocked in
-                # accept(2); shutdown() does (the accept raises), so
-                # the join below returns immediately instead of eating
-                # its full timeout on every proxy teardown.
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                listener.close()
-            except OSError:
-                pass
+            listener.close()
         self._kill_links()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-            self._accept_thread = None
 
     def __enter__(self) -> "FlakyProxy":
         if self._listener is None:
@@ -224,7 +207,8 @@ class FlakyProxy:
         return self._partitioned.is_set()
 
     def stats(self) -> dict:
-        """Counts of connections carried and faults actually injected."""
+        """Counts of connections carried, failed upstream connects and
+        faults actually injected."""
         with self._lock:
             return dict(self._stats)
 
@@ -236,42 +220,31 @@ class FlakyProxy:
         for link in links:
             link.kill()
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        listener = self._listener
-        while not self._closed.is_set():
-            try:
-                client, _ = listener.accept()
-            except OSError:
-                return  # listener closed
-            if self._partitioned.is_set():
-                with self._lock:
-                    self._stats["partition_rejects"] += 1
-                try:
-                    client.close()
-                except OSError:
-                    pass
-                continue
-            try:
-                upstream = socket.create_connection(self._upstream)
-            except OSError:
-                # The upstream itself is down (e.g. a coordinator
-                # mid-restart); to the client that is the same outage.
-                try:
-                    client.close()
-                except OSError:
-                    pass
-                continue
-            link = _Link(client=client, upstream=upstream)
+    def _accept(self, client: socket.socket) -> None:
+        if self._partitioned.is_set():
             with self._lock:
-                self._links.add(link)
-                self._stats["connections"] += 1
-            threading.Thread(
-                target=self._pump_requests, args=(link,), daemon=True
-            ).start()
-            threading.Thread(
-                target=self._pump_responses, args=(link,), daemon=True
-            ).start()
+                self._stats["partition_rejects"] += 1
+            client.close()
+            return
+        try:
+            upstream = socket.create_connection(self._upstream)
+        except OSError:
+            # The upstream itself is down (e.g. a coordinator
+            # mid-restart); to the client that is the same outage.
+            with self._lock:
+                self._stats["upstream_failures"] += 1
+            client.close()
+            return
+        link = _Link(client=client, upstream=upstream)
+        with self._lock:
+            self._links.add(link)
+            self._stats["connections"] += 1
+        threading.Thread(
+            target=self._pump_requests, args=(link,), daemon=True
+        ).start()
+        threading.Thread(
+            target=self._pump_responses, args=(link,), daemon=True
+        ).start()
 
     def _next_ordinal(self) -> int:
         with self._lock:

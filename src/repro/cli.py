@@ -463,7 +463,11 @@ def _cmd_campaign_work(args: argparse.Namespace) -> int:
     try:
         stats = worker.run()
     except RetryExhaustedError as error:
-        print(f"RETRY BUDGET EXHAUSTED: {error}", file=sys.stderr)
+        print(
+            f"RETRY BUDGET EXHAUSTED: {error} (last failure: "
+            f"{error.__cause__})",
+            file=sys.stderr,
+        )
         print(
             "the coordinator stayed unreachable; restart it with "
             "`repro campaign serve --resume <run-dir>` and re-run "

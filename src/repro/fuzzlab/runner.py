@@ -344,6 +344,9 @@ def _fabric_run(
             )
             rounds += 1
         coordinator.run_until_complete(timeout=60)
+        # A worker the chaos beat never comes back.  One TTL of silence
+        # settles it, so close() below does not wait for it.
+        clock.advance(FABRIC_LEASE_TTL)
         return coordinator.run_dir.report_path.read_bytes()
     finally:
         if proxy is not None:

@@ -255,6 +255,10 @@ class PetaLinuxKernel:
         process.address_space.allocator.free(frames)
         process.state = ProcessState.DEAD
         process.exit_code = exit_code
+        # The arena points back at its process; dropping it here breaks
+        # that cycle, so a reaped process (and, with the kernel, the
+        # board's DRAM) goes by reference counting, not the collector.
+        process.heap_arena = None
         del self._processes[pid]
         self._reaped[pid] = process
         self.teardown_seconds += time.perf_counter() - started

@@ -19,6 +19,8 @@ the same wire, defined here once:
   (:func:`dump_fields`); the receiver decodes strictly and re-hashes
   (:func:`decode_dump`), so bytes are never filed under a digest they
   do not match.
+- **Listening.**  The threaded servers (the fabric coordinator and the
+  chaos proxy) accept on an :class:`AcceptLoop`, which stops at once.
 
 >>> frame = encode({"op": "put_dump", **dump_fields(b"residue", "data")})
 >>> request = decode(frame)
@@ -33,6 +35,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import socket
+import threading
 from typing import TYPE_CHECKING, BinaryIO, Callable, Mapping
 
 from repro.errors import (
@@ -173,3 +177,48 @@ def decode_dump(text, sha256: str | None) -> bytes:
             f"{str(sha256)[:12]}…"
         )
     return data
+
+
+class AcceptLoop:
+    """A listening TCP socket whose accept loop runs on a daemon thread.
+
+    Every accepted connection goes to *on_accept* on the loop's thread,
+    so anything slow belongs on a thread of its own.  :meth:`close`
+    stops the loop at once: ``close(2)`` does not wake a thread blocked
+    in ``accept(2)`` but ``shutdown(2)`` does, so no timer is involved.
+    :func:`socket.create_server` sets ``SO_REUSEADDR``, so a restarted
+    server can bind the same port straight away.
+    """
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        on_accept: Callable[[socket.socket], None],
+        *,
+        name: str,
+    ) -> None:
+        self._socket = socket.create_server(address)
+        host, port = self._socket.getsockname()[:2]
+        self.address = (str(host), int(port))
+        self._on_accept = on_accept
+        self._thread = threading.Thread(
+            target=self._run, name=name, daemon=True
+        )
+        self._thread.start()
+
+    def _run(self) -> None:
+        while True:
+            try:
+                conn, _ = self._socket.accept()
+            except OSError:
+                return  # shut down by close()
+            self._on_accept(conn)
+
+    def close(self) -> None:
+        """Stop listening; returns once the loop's thread has exited."""
+        try:
+            self._socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._socket.close()
+        self._thread.join()

@@ -398,4 +398,7 @@ def drain_through_proxy(
         if not coordinator.done:
             clock.advance(lease_ttl + 1.0)
         rounds += 1
+    # A worker the chaos beat never comes back.  One TTL of silence
+    # settles it, so the coordinator's close() does not wait for it.
+    clock.advance(lease_ttl)
     return stats

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.attack.addressing import AddressHarvester, TranslationCache
@@ -299,6 +302,27 @@ class TestCampaignEndToEnd:
         assert cache.hits == 2
         assert cache.invalidations == 2
         assert len(cache) == 0
+
+    def test_dropped_board_frees_its_dram_without_the_collector(self):
+        # A reaped process and its heap arena used to point at each
+        # other, so a dropped board's DRAM lived on until gc ran.
+        spec = CampaignSpec(boards=1, victims=4, seed=9)
+        profiles, database = prepare_offline(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            board = provision_fleet(spec)[0]
+            worker = BoardWorker(
+                board, profiles, database, AttackConfig(coalesce_reads=True)
+            )
+            outcomes = worker.run_jobs(build_schedule(spec))
+            assert len(outcomes) == 4
+            assert all(outcome.succeeded for outcome in outcomes)
+            dram = weakref.ref(board.session.soc.dram)
+            del worker, board
+            assert dram() is None
+        finally:
+            gc.enable()
 
     def test_unattributable_dump_keeps_extraction_stats(self):
         # Victims run a model the adversary never profiled: extraction

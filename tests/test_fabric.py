@@ -630,6 +630,7 @@ class TestFlakyProxyFdHygiene:
             host, port = proxy.address
             with socket.create_connection((host, port)) as conn:
                 assert conn.recv(65536) == b""
+            assert proxy.stats()["upstream_failures"] == 1
         assert self._wait_for_baseline(baseline) == baseline
 
 
@@ -689,6 +690,146 @@ class TestCoordinator:
             drain(coordinator, clock)
             coordinator.run_until_complete(timeout=60)
         assert coordinator.run_dir.report_path.read_bytes() == reference
+
+
+# ---------------------------------------------------------------------------
+# the stop path: close() is immediate, and no worker owed a ``done`` is
+# shut out
+
+
+CLI_POLL_INTERVAL = 0.5
+"""``repro campaign work``'s default ``--poll-interval``."""
+
+
+class _GatedSleep:
+    """A worker sleep whose first call blocks until released; later
+    calls (retry backoff) return at once."""
+
+    def __init__(self) -> None:
+        self.sleeping = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, seconds: float) -> None:
+        if not self.sleeping.is_set():
+            self.sleeping.set()
+            assert self.release.wait(10)
+
+
+class TestStopPath:
+    def test_ten_idle_closes_take_under_a_second(self, tmp_path):
+        coordinators = [
+            build_coordinator(SMALL, tmp_path / f"c{index}")[0]
+            for index in range(10)
+        ]
+        started = time.perf_counter()
+        for coordinator in coordinators:
+            coordinator.close()
+        # socketserver's shutdown() waited up to a 0.5 s poll per close.
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("link_dropped", [False, True])
+    def test_polling_worker_hears_done_when_the_campaign_ends_in_its_sleep(
+        self, tmp_path, link_dropped
+    ):
+        coordinator, clock = build_coordinator(SMALL, tmp_path)
+        proxy = FlakyProxy(coordinator.address)
+        proxy_host, proxy_port = proxy.start()
+        # Both boards are leased at t=0, so the poller's claim at t=10
+        # comes back empty and it goes to sleep.
+        with _client(coordinator) as holder:
+            assert holder.request("claim", worker="holder")["board"] == 0
+            assert holder.request("claim", worker="holder")["board"] == 1
+        clock.advance(10.0)
+        gate = _GatedSleep()
+        poller = FabricWorker(
+            proxy_host,
+            proxy_port,
+            worker_id="poller",
+            poll_interval=CLI_POLL_INTERVAL,
+            heartbeat=False,
+            retry_policy=RetryPolicy(
+                max_attempts=3, base_delay=0.0, jitter=0.0
+            ),
+            sleep=gate,
+        )
+        result: dict = {}
+
+        def poll() -> None:
+            try:
+                result["stats"] = poller.run()
+            except Exception as exc:  # reported by the assert below
+                result["error"] = exc
+
+        poller_thread = threading.Thread(target=poll)
+        poller_thread.start()
+        assert gate.sleeping.wait(10)
+        if link_dropped:
+            # Its link dies just before the finish: it will reconnect.
+            proxy.partition()
+            proxy.heal()
+        # t=30: the holder's leases expire and a drain worker finishes
+        # the campaign; the poller, heard at t=10, is not silent yet.
+        clock.advance(20.0)
+        drain(coordinator, clock)
+        assert coordinator.done
+        closed = threading.Event()
+
+        def close_then_exit() -> None:
+            coordinator.close()
+            if gate.release.is_set():
+                poller_thread.join(10)  # let its done reply land
+            proxy.close()  # the serving process is gone
+            closed.set()
+
+        closer = threading.Thread(target=close_then_exit)
+        closer.start()
+        # The old close() returned within one 0.5 s accept-loop poll,
+        # while the poller slept; the new one holds the door for it.
+        assert not closed.wait(0.6)
+        gate.release.set()
+        closer.join(10)
+        poller_thread.join(10)
+        assert closed.is_set()
+        assert "error" not in result, result
+        assert result["stats"]["reconnects"] == int(link_dropped)
+
+    def test_silent_worker_holds_close_back_one_lease_ttl(self, tmp_path):
+        coordinator, clock = build_coordinator(
+            SMALL, tmp_path, lease_ttl=30.0
+        )
+        with _client(coordinator) as ghost:
+            ghost.request("hello", worker="ghost")  # t=0, then silent
+        drain(coordinator, clock)
+        closer = threading.Thread(target=coordinator.close, daemon=True)
+        closer.start()
+        for advance, still_waiting in ((29.0, True), (1.0, False)):
+            clock.advance(advance)
+            with _client(coordinator) as poke:
+                poke.request("status")  # any answered request wakes close()
+            closer.join(0.2 if still_waiting else 5)
+            assert closer.is_alive() is still_waiting
+
+    def test_no_wait_worker_that_left_adds_no_wait(self, tmp_path):
+        coordinator, clock = build_coordinator(SMALL, tmp_path)
+        host, port = coordinator.address
+        with _client(coordinator) as holder:
+            assert holder.request("claim", worker="holder")["board"] == 0
+        clock.advance(10.0)
+        leaver = FabricWorker(
+            host,
+            port,
+            worker_id="leaver",
+            poll_interval=None,
+            heartbeat=False,
+        )
+        # Board 1, then an empty claim while board 0 is leased: gone.
+        assert leaver.run()["boards_completed"] == [1]
+        clock.advance(20.0)  # t=30: board 0 re-issues; leaver heard t=10
+        drain(coordinator, clock)
+        closer = threading.Thread(target=coordinator.close, daemon=True)
+        closer.start()
+        closer.join(2.0)
+        assert not closer.is_alive()
 
 
 # ---------------------------------------------------------------------------

@@ -196,9 +196,9 @@ def main() -> int:
             for label, worker in zip(("flaky", "clean"), workers):
                 output, _ = worker.communicate(timeout=SERVE_TIMEOUT)
                 _report(f"worker {label}", worker, output)
-                # Exit 2 (coordinator already finished and closed) is
-                # a benign race for whichever worker polled last.
-                if worker.returncode not in (0, 2):
+                # The coordinator keeps listening until every polling
+                # worker has heard `done`, so both must exit 0.
+                if worker.returncode != 0:
                     failures.append(
                         f"worker {label} exited {worker.returncode}"
                     )
@@ -211,7 +211,8 @@ def main() -> int:
             f"drill converged in "
             f"{time.monotonic() - started:.1f}s after the restart; "
             f"proxy injected {stats['drops_injected']} drop(s) over "
-            f"{stats['connections']} connection(s)"
+            f"{stats['connections']} connection(s), "
+            f"{stats['upstream_failures']} failed upstream connect(s)"
         )
         if serve.returncode != 0:
             failures.append(
