@@ -12,8 +12,7 @@ at cloud scale.  This package provides that scale for the simulation:
 - :mod:`repro.campaign.worker` — the per-board wave choreography:
   launch co-residents, harvest while alive, terminate, scrape;
 - :mod:`repro.campaign.report` — :class:`CampaignReport` aggregation
-  (per-model / per-board breakdowns, the streaming
-  :class:`OutcomeAccumulator`) and JSON persistence;
+  (per-model / per-board breakdowns) and JSON persistence;
 - :mod:`repro.campaign.engine` — :func:`run_campaign`: one offline
   prep, then every board concurrently on a worker pool;
 - :mod:`repro.campaign.runtime` — the process-parallel, checkpointable
@@ -23,7 +22,9 @@ at cloud scale.  This package provides that scale for the simulation:
   (``repro campaign run --run-dir/--resume``) — plus the distributed
   fabric (:class:`FabricCoordinator` / :class:`FabricWorker`,
   ``repro campaign serve`` / ``work``) leasing board shards to
-  remote hosts under the same byte-identical report contract.
+  remote hosts under the same byte-identical report contract.  Every
+  placement plays a board through one loop, the executors'
+  ``run_board``.
 
 Quick use (also exposed as ``repro campaign run``):
 
@@ -41,17 +42,12 @@ from repro.campaign.schedule import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.campaign.fleet import (
-    ProvisionedBoard,
-    provision_board,
-    provision_fleet,
-)
+from repro.campaign.fleet import ProvisionedBoard, provision_board
 from repro.campaign.worker import BoardEnd, BoardWorker, VictimOutcome
 from repro.campaign.report import (
     BoardBreakdown,
     CampaignReport,
     ModelBreakdown,
-    OutcomeAccumulator,
 )
 from repro.campaign.engine import (
     prepare_offline,
@@ -75,14 +71,12 @@ __all__ = [
     "spec_to_dict",
     "ProvisionedBoard",
     "provision_board",
-    "provision_fleet",
     "BoardEnd",
     "BoardWorker",
     "VictimOutcome",
     "BoardBreakdown",
     "CampaignReport",
     "ModelBreakdown",
-    "OutcomeAccumulator",
     "prepare_offline",
     "prepare_offline_cached",
     "run_campaign",

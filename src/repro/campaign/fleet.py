@@ -72,9 +72,9 @@ def provision_board(
 
     Each board is a pure function of ``(spec, index)``: the spec picks
     the board model, the index seeds the power-up DRAM fill, and the
-    kernel boots fresh — which is what lets the campaign runtime
-    provision boards lazily, in any process, and still get the exact
-    simulation an up-front :func:`provision_fleet` would have built.
+    kernel boots fresh — which is what lets every executor and fabric
+    worker provision boards lazily, in any process, and still get the
+    exact same simulation.
 
     Tenant 0 is the session's standard victim terminal; additional
     tenants log in as fresh users on their own pseudo-terminals, so
@@ -103,18 +103,3 @@ def provision_board(
         tenant_shells=tenants,
         translation_cache=TranslationCache(),
     )
-
-
-def provision_fleet(
-    spec: CampaignSpec, kernel_config: KernelConfig | None = None
-) -> list[ProvisionedBoard]:
-    """Boot the whole fleet described by *spec*.
-
-    *kernel_config* boots every board hardened (or differently
-    misconfigured) instead of with the vulnerable default — the
-    defense arena's provisioning hook.
-    """
-    return [
-        provision_board(spec, index, kernel_config)
-        for index in range(spec.boards)
-    ]

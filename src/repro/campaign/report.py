@@ -8,22 +8,17 @@ to JSON (spec included) so ``repro campaign run -o fleet.json`` and a
 later ``repro campaign report fleet.json`` see identical numbers.  A
 report records nothing of the host that ran it.
 
-Aggregation is incremental: :class:`OutcomeAccumulator` folds outcomes
-in one at a time, which is how the checkpointable runtime keeps fleet
-totals live while outcomes stream out of worker processes — and the
-report's own breakdowns are the same tallies, so streamed and batch
-numbers can never disagree:
+The breakdowns count straight from the outcomes, whatever their order:
 
 >>> outcome = VictimOutcome(
 ...     job_id=0, board_index=0, board_name="ZCU104",
 ...     model_name="resnet50_pt", tenant_index=0, launch_wave=0,
 ...     pid=871, identified_model="resnet50_pt", pixel_match_rate=1.0,
 ...     nbytes=4096, devmem_reads=1, pages_read=1)
->>> tally = OutcomeAccumulator()
->>> tally.add(outcome)
->>> tally.victims, tally.succeeded
-(1, 1)
->>> tally.per_model()[0].identification_rate
+>>> report = CampaignReport(CampaignSpec(), [outcome])
+>>> report.victims, report.success_rate
+(1, 1.0)
+>>> report.per_model()[0].identification_rate
 1.0
 """
 
@@ -61,87 +56,6 @@ class BoardBreakdown:
     succeeded: int
     nbytes: int
     devmem_reads: int
-
-
-class OutcomeAccumulator:
-    """Streaming fleet aggregation — outcomes fold in one at a time.
-
-    The runtime adds each outcome the moment it is journaled, so
-    fleet-wide tallies (and operator progress) never require holding
-    more than the outcomes themselves; :class:`CampaignReport` builds
-    its breakdowns through the same accumulator, so the incremental
-    and batch views are one code path.
-    """
-
-    def __init__(self) -> None:
-        self._victims = 0
-        self._succeeded = 0
-        self._models: dict[str, list[int]] = {}
-        self._boards: dict[int, list] = {}
-
-    @classmethod
-    def of(cls, outcomes: list[VictimOutcome]) -> "OutcomeAccumulator":
-        """An accumulator pre-folded over *outcomes*."""
-        accumulator = cls()
-        accumulator.extend(outcomes)
-        return accumulator
-
-    def add(self, outcome: VictimOutcome) -> None:
-        """Fold one outcome into the running tallies."""
-        self._victims += 1
-        self._succeeded += outcome.succeeded
-        model = self._models.setdefault(outcome.model_name, [0, 0, 0])
-        model[0] += 1
-        model[1] += outcome.identified_correctly
-        model[2] += outcome.image_recovered
-        board = self._boards.setdefault(
-            outcome.board_index, [outcome.board_name, 0, 0, 0, 0]
-        )
-        board[1] += 1
-        board[2] += outcome.succeeded
-        board[3] += outcome.nbytes
-        board[4] += outcome.devmem_reads
-
-    def extend(self, outcomes: list[VictimOutcome]) -> None:
-        """Fold a batch of outcomes in."""
-        for outcome in outcomes:
-            self.add(outcome)
-
-    @property
-    def victims(self) -> int:
-        """Outcomes folded in so far."""
-        return self._victims
-
-    @property
-    def succeeded(self) -> int:
-        """Victims that leaked anything at all, so far."""
-        return self._succeeded
-
-    def per_model(self) -> list[ModelBreakdown]:
-        """Running per-model aggregates, sorted by model name."""
-        return [
-            ModelBreakdown(
-                model_name=name,
-                victims=tally[0],
-                identified=tally[1],
-                images_recovered=tally[2],
-            )
-            for name, tally in sorted(self._models.items())
-        ]
-
-    def per_board(self) -> list[BoardBreakdown]:
-        """Running per-board aggregates, by board index."""
-        return [
-            BoardBreakdown(
-                board_index=index,
-                board_name=tally[0],
-                victims=tally[1],
-                succeeded=tally[2],
-                nbytes=tally[3],
-                devmem_reads=tally[4],
-            )
-            for index, tally in sorted(self._boards.items())
-        ]
 
 
 @dataclass
@@ -199,11 +113,35 @@ class CampaignReport:
 
     def per_model(self) -> list[ModelBreakdown]:
         """Outcome aggregates per model, sorted by model name."""
-        return OutcomeAccumulator.of(self.outcomes).per_model()
+        by_model: dict[str, list[VictimOutcome]] = {}
+        for outcome in self.outcomes:
+            by_model.setdefault(outcome.model_name, []).append(outcome)
+        return [
+            ModelBreakdown(
+                model_name=name,
+                victims=len(group),
+                identified=sum(o.identified_correctly for o in group),
+                images_recovered=sum(o.image_recovered for o in group),
+            )
+            for name, group in sorted(by_model.items())
+        ]
 
     def per_board(self) -> list[BoardBreakdown]:
         """Outcome aggregates per fleet member, by board index."""
-        return OutcomeAccumulator.of(self.outcomes).per_board()
+        by_board: dict[int, list[VictimOutcome]] = {}
+        for outcome in self.outcomes:
+            by_board.setdefault(outcome.board_index, []).append(outcome)
+        return [
+            BoardBreakdown(
+                board_index=index,
+                board_name=group[0].board_name,
+                victims=len(group),
+                succeeded=sum(o.succeeded for o in group),
+                nbytes=sum(o.nbytes for o in group),
+                devmem_reads=sum(o.devmem_reads for o in group),
+            )
+            for index, group in sorted(by_board.items())
+        ]
 
     def failures(self) -> list[VictimOutcome]:
         """Victims whose attack died mid-pipeline."""

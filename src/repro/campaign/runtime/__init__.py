@@ -26,8 +26,9 @@ service-grade runtime:
   continues an interrupted campaign to a byte-identical report.
 - :mod:`~repro.campaign.runtime.fabric` — the distributed fabric:
   :class:`FabricCoordinator` serves board shards as heartbeat-carrying
-  leases over a JSON/TCP protocol, :class:`FabricWorker` claims and
-  runs them remotely (``repro campaign serve`` / ``work``), and the
+  leases over a JSON/TCP protocol, :class:`FabricWorker` claims them
+  and plays each through the executors' board loop on a remote host
+  (``repro campaign serve`` / ``work``), and the
   journaled run directory keeps the final report byte-identical to a
   single-host run across crashes, reclaims, and replays.
 

@@ -6,9 +6,11 @@ callbacks — ``on_wave(board, wave, outcomes)`` as each wave completes
 and ``on_board_complete(board, end)`` once a board's whole schedule
 has been delivered, with the board's
 :class:`~repro.campaign.worker.BoardEnd` counters.  Both play each
-board through one loop, :func:`_run_board`, and take the attacker's
+board through one loop, :func:`run_board`, and take the attacker's
 latency as plain data (``scrape_delay_ticks``), so a defended campaign
-runs on either.  The caller (the engine for plain runs, the
+runs on either.  The fabric's workers play their leased boards through
+the same loop, and its coordinator settles jobless boards through
+:func:`populated_boards`.  The caller (the engine for plain runs, the
 :class:`~repro.campaign.runtime.runner.CampaignRuntime` for
 checkpointed ones) owns ordering, journaling, and aggregation; the
 executor owns only placement and transport.
@@ -116,7 +118,7 @@ def resolve_executor(
     )
 
 
-def _populated_boards(
+def populated_boards(
     spec: CampaignSpec,
     board_indices: Iterable[int],
     on_board_complete: BoardSink,
@@ -135,7 +137,7 @@ def _populated_boards(
     return populated, grouped
 
 
-def _run_board(
+def run_board(
     spec: CampaignSpec,
     index: int,
     jobs: list[VictimJob],
@@ -149,9 +151,10 @@ def _run_board(
 ) -> None:
     """Provision board *index*, play *jobs* wave by wave, report its end.
 
-    The one board loop of both executors: the in-process executor
+    The one board loop of every placement: the in-process executor
     calls it on its worker thread, a shard process once per board with
-    sinks that feed the result queue.
+    sinks that feed the result queue, and a fabric worker once per
+    leased board with sinks that upload dumps and ship waves.
     """
     worker = BoardWorker(
         provision_board(spec, index, kernel_config),
@@ -199,7 +202,7 @@ class InProcessExecutor:
         their next wave: the runtime's sink keeps raising, without
         journaling, once it has raised.
         """
-        populated, grouped = _populated_boards(
+        populated, grouped = populated_boards(
             spec, board_indices, on_board_complete
         )
         if not populated:
@@ -207,7 +210,7 @@ class InProcessExecutor:
         pool = ThreadPoolExecutor(max_workers=self._max_workers or 1)
         futures = [
             pool.submit(
-                _run_board,
+                run_board,
                 spec,
                 index,
                 grouped[index],
@@ -251,7 +254,7 @@ def _run_shard(
         spool = DumpSpool(spool_root) if spool_root is not None else None
         grouped = jobs_by_board(build_schedule(spec))
         for board in board_indices:
-            _run_board(
+            run_board(
                 spec,
                 board,
                 grouped[board],
@@ -305,7 +308,7 @@ class MultiprocessExecutor:
         aborts the run and terminates the shards — exactly the crash
         the checkpoint journal is designed to survive.
         """
-        populated, _ = _populated_boards(
+        populated, _ = populated_boards(
             spec, board_indices, on_board_complete
         )
         if not populated:

@@ -5,11 +5,12 @@ across local processes; the fabric shards them across *hosts*.  A
 :class:`FabricCoordinator` owns the run directory (spec, journal,
 spool, report) and exposes the campaign's boards as **leases** over a
 line-delimited JSON/TCP protocol; any number of
-:class:`FabricWorker` processes connect, claim leases, run their
-boards through the ordinary :class:`~repro.campaign.worker.BoardWorker`
-stack, and stream :class:`~repro.campaign.worker.VictimOutcome` waves
-back.  Dumps never ride inside outcome messages: they travel by content
-digest (``dump_sha256``) with explicit upload/fetch ops against the
+:class:`FabricWorker` processes connect, claim leases, play their
+boards through the local executors' board loop
+(:func:`~repro.campaign.runtime.executors.run_board`), and stream
+:class:`~repro.campaign.worker.VictimOutcome` waves back.  Dumps never
+ride inside outcome messages: they travel by content digest
+(``dump_sha256``) with explicit upload/fetch ops against the
 coordinator's content-addressed :class:`~repro.campaign.runtime.spool.
 DumpSpool`, which becomes the campaign's shared artifact store.
 
@@ -24,7 +25,6 @@ dump fields.  Ops::
     wave            -> journal one wave of outcomes under a lease
     board_complete  -> mark a leased board finished
     put_dump        -> upload dump bytes (verified against their digest)
-    has_dump        -> digest presence probe (skip redundant uploads)
     fetch_dump      -> download dump bytes by digest (verified client-side)
     status          -> observability snapshot (never mutates state)
 
@@ -77,15 +77,18 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro import wire
-from repro.attack.config import AttackConfig
 from repro.attack.identify import SignatureDatabase
 from repro.attack.profiling import ProfileStore
-from repro.campaign.fleet import provision_board
-from repro.campaign.report import CampaignReport, OutcomeAccumulator
+# Nothing here calls it (boards are provisioned inside ``run_board``),
+# but perfbench's traced runs patch ``provision_board`` in this
+# module's namespace by name (perfbench/spans.py), so the binding stays.
+from repro.campaign.fleet import provision_board  # noqa: F401
+from repro.campaign.report import CampaignReport
 from repro.campaign.runtime.checkpoint import RunDirectory
+from repro.campaign.runtime.executors import populated_boards, run_board
 from repro.campaign.runtime.spool import DumpSpool
 from repro.campaign.schedule import (
     CampaignSpec,
@@ -94,7 +97,7 @@ from repro.campaign.schedule import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.campaign.worker import BoardWorker, VictimOutcome
+from repro.campaign.worker import BoardEnd, VictimOutcome
 from repro.errors import (
     DumpTransferError,
     FabricConnectionError,
@@ -120,12 +123,10 @@ __all__ = [
     "ResilientFabricClient",
 ]
 
-if TYPE_CHECKING:
-    from repro.campaign.schedule import VictimJob
-
-FABRIC_FORMAT = 2
+FABRIC_FORMAT = 3
 """Wire-protocol version; ``hello`` refuses mismatched peers.  Format 2
-outcomes carry no ``wall_seconds``/``teardown_seconds``."""
+outcomes carry no ``wall_seconds``/``teardown_seconds``; format 3 drops
+the digest presence probe (a worker uploads each new digest once)."""
 
 DEFAULT_LEASE_TTL = 30.0
 """Seconds a lease survives without any authenticated op."""
@@ -173,7 +174,6 @@ class LeaseTable:
     ) -> None:
         self._pending: set[int] = set(boards)
         self._active: dict[int, Lease] = {}
-        self._complete: set[int] = set()
         # *epoch_floor* seeds numbering above a previous coordinator's
         # watermarks, so fencing stays sound across restarts: a token
         # issued before the crash can never be re-minted after it.
@@ -244,7 +244,6 @@ class LeaseTable:
         """Retire *token*'s board as finished; returns the board."""
         lease = self.resolve(token)
         del self._active[lease.board]
-        self._complete.add(lease.board)
         return lease.board
 
     @property
@@ -263,7 +262,6 @@ class LeaseTable:
             "leased": {
                 lease.token: lease.board for lease in self._active.values()
             },
-            "complete": sorted(self._complete),
             "leases_issued": self.leases_issued,
             "reclaims": self.reclaims,
             "stale_rejections": self.stale_rejections,
@@ -330,35 +328,31 @@ class FabricCoordinator:
         self._listener: wire.AcceptLoop | None = None
 
         journal = run_dir.load_journal()
-        journaled = [
-            outcome
+        self._seen_jobs = {
+            outcome.job_id
             for outcomes in journal.outcomes_by_board.values()
             for outcome in outcomes
-        ]
-        self._seen_jobs = {outcome.job_id for outcome in journaled}
-        self._accumulator = OutcomeAccumulator.of(journaled)
+        }
         self._journaled_this_run = 0
         self._duplicates_rejected = 0
         self._dumps_received = 0
         self._dumps_deduplicated = 0
         self._workers: dict[str, _WorkerState] = {}
 
-        # Boards the schedule assigned nothing to complete immediately,
-        # exactly as the local executors report them — the lease table
-        # only ever covers populated, incomplete boards.
-        grouped = jobs_by_board(build_schedule(spec))
-        complete = set(journal.complete_boards)
-        for board in range(spec.boards):
-            if board not in complete and not grouped.get(board):
-                run_dir.mark_board_complete(board)
-                complete.add(board)
-        self._boards_done = complete
-        self._table = LeaseTable(
-            (
+        # Boards the schedule assigned nothing to complete at once,
+        # through the local executors' own rule — the lease table only
+        # ever covers populated, incomplete boards.
+        populated, _ = populated_boards(
+            spec,
+            [
                 board
                 for board in range(spec.boards)
-                if board not in complete
-            ),
+                if board not in journal.complete_boards
+            ],
+            lambda board, end: run_dir.mark_board_complete(board),
+        )
+        self._table = LeaseTable(
+            populated,
             lease_ttl,
             clock,
             epoch_floor=run_dir.load_lease_epochs(),
@@ -492,7 +486,10 @@ class FabricCoordinator:
             leases = self._table.snapshot()
             return {
                 "boards": self._spec.boards,
-                "boards_complete": len(self._boards_done),
+                # A board neither pending nor leased has completed.
+                "boards_complete": self._spec.boards
+                - len(leases["pending"])
+                - len(leases["leased"]),
                 "boards_pending": len(leases["pending"]),
                 "boards_leased": len(leases["leased"]),
                 "leases_issued": leases["leases_issued"],
@@ -671,7 +668,6 @@ class FabricCoordinator:
                 self._seen_jobs.update(
                     outcome.job_id for outcome in fresh
                 )
-                self._accumulator.extend(fresh)
                 self._journaled_this_run += len(fresh)
             duplicates = len(outcomes) - len(fresh)
             self._duplicates_rejected += duplicates
@@ -679,10 +675,9 @@ class FabricCoordinator:
 
     def _op_board_complete(self, request: dict) -> dict:
         with self._lock:
+            # Only a live lease completes, so each board is marked once.
             board = self._table.complete(str(request["lease"]))
-            if board not in self._boards_done:
-                self._run_dir.mark_board_complete(board)
-                self._boards_done.add(board)
+            self._run_dir.mark_board_complete(board)
             done = self._table.done
             if done and not self._finished.is_set():
                 self._finalize()
@@ -696,9 +691,6 @@ class FabricCoordinator:
             if entry.deduplicated:
                 self._dumps_deduplicated += 1
         return {"deduplicated": entry.deduplicated, "nbytes": entry.nbytes}
-
-    def _op_has_dump(self, request: dict) -> dict:
-        return {"present": str(request["sha256"]) in self._spool}
 
     def _op_fetch_dump(self, request: dict) -> dict:
         digest = str(request["sha256"])
@@ -721,7 +713,6 @@ class FabricCoordinator:
         "wave": _op_wave,
         "board_complete": _op_board_complete,
         "put_dump": _op_put_dump,
-        "has_dump": _op_has_dump,
         "fetch_dump": _op_fetch_dump,
         "status": _op_status,
     }
@@ -765,8 +756,10 @@ class FabricCoordinator:
                 "outcomes_journaled_this_run": self._journaled_this_run,
                 "dumps_received": self._dumps_received,
                 "dumps_deduplicated": self._dumps_deduplicated,
-                "victims_attacked": self._accumulator.victims,
-                "victims_leaked": self._accumulator.succeeded,
+                "victims_attacked": report.victims,
+                "victims_leaked": sum(
+                    outcome.succeeded for outcome in report.outcomes
+                ),
                 "wall_seconds": round(
                     time.perf_counter() - self._started, 6
                 ),
@@ -928,15 +921,14 @@ class ResilientFabricClient(_DumpWireOps):
     in-flight op.
 
     **Why replay is safe.**  Every fabric op is either idempotent
-    (``hello``, ``heartbeat``, ``has_dump``, ``fetch_dump``,
-    ``status``), deduplicated by content (``put_dump`` by digest,
-    ``wave`` by ``job_id``), or fenced (``board_complete`` under a
-    lease token — a replay after the first copy landed gets a benign
-    :class:`StaleLeaseError`).  The one non-idempotent op, ``claim``,
-    is *convergent*: if the original claim landed but its reply was
-    lost, the orphaned lease simply expires and the board re-issues.
-    So at-least-once delivery can never corrupt the journal — the
-    property the chaos drills pin.
+    (``hello``, ``heartbeat``, ``fetch_dump``, ``status``), deduplicated
+    by content (``put_dump`` by digest, ``wave`` by ``job_id``), or
+    fenced (``board_complete`` under a lease token — a replay after the
+    first copy landed gets a benign :class:`StaleLeaseError`).  The one
+    non-idempotent op, ``claim``, is *convergent*: if the original claim
+    landed but its reply was lost, the orphaned lease simply expires and
+    the board re-issues.  So at-least-once delivery can never corrupt the
+    journal — the property the chaos drills pin.
 
     Non-retryable errors — :class:`StaleLeaseError`,
     :class:`DumpTransferError`, protocol violations — propagate
@@ -960,7 +952,6 @@ class ResilientFabricClient(_DumpWireOps):
         handshake: "Callable[[FabricClient], None] | None" = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        on_reconnect: Callable[[int], None] | None = None,
     ) -> None:
         self._host = host
         self._port = port
@@ -969,7 +960,6 @@ class ResilientFabricClient(_DumpWireOps):
         self._handshake = handshake
         self._clock = clock
         self._sleep = sleep
-        self._on_reconnect = on_reconnect
         self._conn_lock = threading.Lock()
         self._client: FabricClient | None = None
         self._dialed_once = False
@@ -1074,11 +1064,6 @@ class ResilientFabricClient(_DumpWireOps):
             self._dialed_once = True
             if reconnecting:
                 self.reconnects += 1
-                count = self.reconnects
-            else:
-                count = 0
-        if reconnecting and self._on_reconnect is not None:
-            self._on_reconnect(count)
         return client
 
     def _drop(self, client: FabricClient) -> None:
@@ -1098,9 +1083,11 @@ class FabricWorker:
 
     ``run()`` connects, learns the campaign from ``hello`` (spec,
     offline prep, defense profile name — everything a board simulation
-    needs travels by value), then loops: claim a board, play its waves
-    through a local :class:`BoardWorker`, upload each wave's dumps
-    *before* the wave itself, and mark the board complete.
+    needs travels by value), then loops: claim a board, play it
+    through :func:`~repro.campaign.runtime.executors.run_board` (the
+    local executors' loop, with no scrape delay) with sinks that upload
+    each wave's new dumps *before* the wave itself and mark the board
+    complete after its last wave.
 
     Fault-injection knobs, mirroring ``interrupt_after`` on the local
     runtime: *die_after_waves* kills the worker (stops everything,
@@ -1270,7 +1257,6 @@ class FabricWorker:
             "profiles": ProfileStore.from_json(hello["profiles"]),
             "database": SignatureDatabase.from_payload(hello["database"]),
             "kernel_config": kernel_config,
-            "config": AttackConfig(coalesce_reads=spec.coalesce_reads),
             "grouped": jobs_by_board(build_schedule(spec)),
             "lease_ttl": float(hello["lease_ttl"]),
         }
@@ -1325,19 +1311,14 @@ class FabricWorker:
         token: str,
         stats: dict,
     ) -> None:
-        jobs: "list[VictimJob]" = world["grouped"].get(board, [])
-        provisioned = provision_board(
-            world["spec"], board, world["kernel_config"]
-        )
-        worker = BoardWorker(
-            provisioned,
-            world["profiles"],
-            world["database"],
-            world["config"],
-            spool=spool,
-        )
+        """Play leased *board* through the local board loop; its sinks
+        ship each wave (dumps first) and then the completion marker."""
         waves_sent = 0
-        for wave, outcomes in worker.iter_waves(jobs):
+
+        def on_wave(
+            index: int, wave: int, outcomes: "list[VictimOutcome]"
+        ) -> None:
+            nonlocal waves_sent
             self._check_heartbeat(token)
             self._ship_dumps(client, spool, outcomes, stats)
             if (
@@ -1358,8 +1339,23 @@ class FabricWorker:
             waves_sent += 1
             stats["waves_sent"] += 1
             stats["outcomes_sent"] += len(outcomes)
-        self._before_board_complete(client, token, board)
-        client.request("board_complete", lease=token)
+
+        def on_board_complete(index: int, end: BoardEnd) -> None:
+            self._before_board_complete(client, token, board)
+            client.request("board_complete", lease=token)
+
+        run_board(
+            world["spec"],
+            board,
+            world["grouped"][board],
+            world["profiles"],
+            world["database"],
+            world["kernel_config"],
+            scrape_delay_ticks=0,
+            spool=spool,
+            on_wave=on_wave,
+            on_board_complete=on_board_complete,
+        )
 
     def _check_heartbeat(self, token: str) -> None:
         """Abandon the board when the heartbeat thread lost its lease.
@@ -1390,10 +1386,8 @@ class FabricWorker:
             digest = outcome.dump_sha256
             if digest is None or digest in self._uploaded:
                 continue
-            if client.request("has_dump", sha256=digest)["present"]:
-                self._uploaded.add(digest)
-                stats["dumps_deduplicated"] += 1
-                continue
+            # The coordinator files by content and says whether it
+            # already held the bytes, so one request per new digest.
             response = client.put_dump(spool.read(digest))
             self._uploaded.add(digest)
             stats["dumps_uploaded"] += 1

@@ -42,7 +42,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
-from repro.campaign.report import CampaignReport, OutcomeAccumulator
+from repro.campaign.report import CampaignReport
 from repro.campaign.runtime.checkpoint import JournalState, RunDirectory
 from repro.campaign.runtime.executors import resolve_executor
 from repro.campaign.schedule import CampaignSpec
@@ -155,35 +155,31 @@ class CampaignRuntime:
             spec, self._executor, processes=self._processes
         )
 
-        accumulator = OutcomeAccumulator.of(reused)
         fresh: list[VictimOutcome] = []
-        journaled = 0
         interrupted = False
         lock = threading.Lock()
 
         def on_wave(
             board: int, wave: int, outcomes: list[VictimOutcome]
         ) -> None:
-            nonlocal journaled, interrupted
+            nonlocal interrupted
             with lock:
                 # Once interrupted, every board thread still running
                 # stops at its next wave without journaling it, as a
                 # crashed process would.
                 if interrupted:
                     raise CampaignInterrupted(
-                        str(self._run_dir.root), journaled
+                        str(self._run_dir.root), len(fresh)
                     )
                 self._run_dir.append_wave(board, wave, outcomes)
-                accumulator.extend(outcomes)
                 fresh.extend(outcomes)
-                journaled += len(outcomes)
                 if (
                     self._interrupt_after is not None
-                    and journaled >= self._interrupt_after
+                    and len(fresh) >= self._interrupt_after
                 ):
                     interrupted = True
                     raise CampaignInterrupted(
-                        str(self._run_dir.root), journaled
+                        str(self._run_dir.root), len(fresh)
                     )
 
         def on_board_complete(board: int, end: BoardEnd) -> None:
@@ -203,23 +199,13 @@ class CampaignRuntime:
             )
         except CampaignInterrupted:
             self._write_telemetry(
-                started,
-                executor.name,
-                journal,
-                journaled,
-                accumulator,
-                complete=False,
+                started, executor.name, journal, reused, fresh, complete=False
             )
             raise
 
         report = self._run_dir.write_report(spec, reused + fresh)
         self._write_telemetry(
-            started,
-            executor.name,
-            journal,
-            journaled,
-            accumulator,
-            complete=True,
+            started, executor.name, journal, reused, fresh, complete=True
         )
         return report
 
@@ -230,13 +216,14 @@ class CampaignRuntime:
         started: float,
         executor_name: str,
         journal: JournalState,
-        journaled: int,
-        accumulator: OutcomeAccumulator,
+        reused: list[VictimOutcome],
+        fresh: list[VictimOutcome],
         complete: bool,
     ) -> None:
-        # The accumulator's running tallies make the telemetry useful
-        # even for an interrupted run: how much had leaked by the time
-        # the process died, without replaying the journal.
+        # The run holds every outcome it reused or journaled, so even an
+        # interrupted run's telemetry says how much had leaked by the
+        # time it stopped, without replaying the journal.
+        outcomes = reused + fresh
         self._run_dir.write_telemetry(
             {
                 "complete": complete,
@@ -244,10 +231,12 @@ class CampaignRuntime:
                 "processes": self._processes,
                 "wall_seconds": round(time.perf_counter() - started, 6),
                 "boards_reused": sorted(journal.complete_boards),
-                "outcomes_reused": len(journal.reusable_outcomes()),
-                "outcomes_journaled_this_run": journaled,
-                "victims_attacked": accumulator.victims,
-                "victims_leaked": accumulator.succeeded,
+                "outcomes_reused": len(reused),
+                "outcomes_journaled_this_run": len(fresh),
+                "victims_attacked": len(outcomes),
+                "victims_leaked": sum(
+                    outcome.succeeded for outcome in outcomes
+                ),
                 "spool_bytes": self._run_dir.spool.total_bytes(),
                 "spool_objects": len(self._run_dir.spool.digests()),
             }

@@ -180,23 +180,15 @@ class BoardWorker:
             cache=board.translation_cache,
         )
 
-    def run_jobs(self, jobs: list[VictimJob]) -> list[VictimOutcome]:
-        """Play every wave of this board's schedule; returns outcomes."""
-        outcomes: list[VictimOutcome] = []
-        for _, wave_outcomes in self.iter_waves(jobs):
-            outcomes.extend(wave_outcomes)
-        return outcomes
-
     def iter_waves(
         self, jobs: list[VictimJob]
     ) -> Iterator[tuple[int, list[VictimOutcome]]]:
         """Play the schedule wave by wave, yielding each wave's outcomes.
 
         This is the campaign runtime's streaming interface: outcomes
-        reach the journal (and the incremental aggregator) as soon as
-        their wave completes, and the dump bytes behind them are
-        already spooled to disk — nothing accumulates in the worker
-        between waves.
+        reach the journal as soon as their wave completes, and the dump
+        bytes behind them are already spooled to disk — nothing
+        accumulates in the worker between waves.
         """
         waves: dict[int, list[VictimJob]] = {}
         for job in jobs:

@@ -1,13 +1,14 @@
 """Fitness functions — how the explorer scores an attacker genome.
 
-Every fitness routes through the real stack: the genome lowers to a
-:class:`~repro.fuzzlab.scenario.Scenario`, the scenario runs through
-:func:`repro.fuzzlab.evaluate_world` (the same campaign engine the
-fuzzlab and arena drive), and the fitness picks one number off the
-resulting :class:`~repro.fuzzlab.WorldEval`.  Nothing is simulated on
-the side, so a genome the search crowns champion is a strategy the
-actual attack pipeline executes — and its exported corpus seed
-replays green.
+Every fitness routes through the real stack.  The campaign fitnesses
+lower the genome to a :class:`~repro.fuzzlab.scenario.Scenario`, run
+it through :func:`repro.fuzzlab.evaluate_world` (the same campaign
+engine the fuzzlab and arena drive), and pick one number off the
+resulting :class:`~repro.fuzzlab.WorldEval`; ``weights`` runs the
+arena's weight-theft probe under the same kernel instead.  Nothing is
+simulated on the side, so a genome the search crowns champion is a
+strategy the actual attack pipeline executes — and its exported
+corpus seed replays green.
 
 Three fitnesses map to the paper's three questions:
 
@@ -15,8 +16,8 @@ Three fitnesses map to the paper's three questions:
 - ``window``   — fraction of victims scraped inside the window of
   vulnerability (the race the async scrubber loses);
 - ``weights``  — recovered fraction of a privately fine-tuned model's
-  weights (the weight-theft escalation), which adds the arena's probe
-  on top of the campaign measurement.
+  weights (the weight-theft escalation): the arena's probe alone, with
+  no campaign, since nothing of the campaign enters the score.
 
 :class:`GenomeEvaluator` memoizes by genome identity, so re-visited
 genomes (elites, crossover duplicates) cost nothing — the counters it
@@ -94,12 +95,13 @@ class GenomeEvaluator:
             self.cache_hits += 1
             return self._scores[key]
         self.evaluations += 1
-        world = evaluate_world(
-            genome.to_scenario(input_hw=self.input_hw), defense=self.profile
-        )
         if self.fitness == "weights":
             value = self._weight_theft(genome)
         else:
+            world = evaluate_world(
+                genome.to_scenario(input_hw=self.input_hw),
+                defense=self.profile,
+            )
             value = FITNESS_FUNCTIONS[self.fitness](world)
         self._scores[key] = value
         return value

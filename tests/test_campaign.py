@@ -13,14 +13,16 @@ from repro.attack.extraction import MemoryScraper
 from repro.attack.pipeline import MemoryScrapingAttack
 from repro.attack.polling import PidPoller
 from repro.campaign import (
+    BoardBreakdown,
     BoardWorker,
     CampaignReport,
     CampaignSpec,
+    ModelBreakdown,
     VictimOutcome,
     build_schedule,
     jobs_by_board,
     prepare_offline,
-    provision_fleet,
+    provision_board,
     run_campaign,
 )
 from repro.evaluation.metrics import ThroughputStats
@@ -164,6 +166,47 @@ class TestReportAggregation:
         report = CampaignReport(spec=CampaignSpec(), outcomes=[])
         assert report.success_rate == 0.0
         assert report.total_bytes == 0
+        assert report.per_model() == []
+        assert report.per_board() == []
+
+    def test_failed_victim_counts_as_a_victim_that_leaked_nothing(self):
+        failed = _outcome(
+            identified_model=None,
+            pixel_match_rate=None,
+            nbytes=0,
+            devmem_reads=0,
+            failed_step="step 3 (extract)",
+        )
+        report = CampaignReport(spec=CampaignSpec(), outcomes=[failed])
+        assert report.per_model() == [
+            ModelBreakdown("resnet50_pt", victims=1, identified=0,
+                           images_recovered=0)
+        ]
+        assert report.per_board() == [
+            BoardBreakdown(0, "ZCU104", victims=1, succeeded=0, nbytes=0,
+                           devmem_reads=0)
+        ]
+
+    def test_two_board_breakdowns_ignore_outcome_order(self):
+        report = self._report()
+        models = [
+            ModelBreakdown("resnet50_pt", victims=2, identified=1,
+                           images_recovered=1),
+            ModelBreakdown("squeezenet_pt", victims=1, identified=1,
+                           images_recovered=0),
+        ]
+        boards = [
+            BoardBreakdown(0, "ZCU104", victims=1, succeeded=1, nbytes=4096,
+                           devmem_reads=1),
+            BoardBreakdown(1, "ZCU102", victims=2, succeeded=1, nbytes=8192,
+                           devmem_reads=2),
+        ]
+        # Rotated, the squeezenet victim on board 1 comes first.
+        rotated = report.outcomes[1:] + report.outcomes[:1]
+        for outcomes in (report.outcomes, rotated):
+            reordered = CampaignReport(report.spec, outcomes)
+            assert reordered.per_model() == models
+            assert reordered.per_board() == boards
 
     def test_json_round_trip(self):
         report = self._report()
@@ -289,11 +332,16 @@ class TestCampaignEndToEnd:
     def test_worker_serves_pipeline_harvest_from_board_cache(self):
         spec = CampaignSpec(boards=1, victims=2, wave_size=2, seed=4)
         profiles, database = prepare_offline(spec)
-        board = provision_fleet(spec)[0]
+        board = provision_board(spec, 0)
         worker = BoardWorker(
             board, profiles, database, AttackConfig(coalesce_reads=True)
         )
-        outcomes = worker.run_jobs(build_schedule(spec))
+        outcomes = [
+            outcome
+            for _, wave in worker.iter_waves(build_schedule(spec))
+            for outcome in wave
+        ]
+        assert len(outcomes) == 2
         assert all(outcome.succeeded for outcome in outcomes)
         # The worker snapshots at claim time (miss), the pipeline
         # re-harvests from the cache (hit), extract() invalidates.
@@ -311,11 +359,15 @@ class TestCampaignEndToEnd:
         gc.collect()
         gc.disable()
         try:
-            board = provision_fleet(spec)[0]
+            board = provision_board(spec, 0)
             worker = BoardWorker(
                 board, profiles, database, AttackConfig(coalesce_reads=True)
             )
-            outcomes = worker.run_jobs(build_schedule(spec))
+            outcomes = [
+                outcome
+                for _, wave in worker.iter_waves(build_schedule(spec))
+                for outcome in wave
+            ]
             assert len(outcomes) == 4
             assert all(outcome.succeeded for outcome in outcomes)
             dram = weakref.ref(board.session.soc.dram)

@@ -541,10 +541,23 @@ class TestCheckpointResume:
                 SPEC, tmp_path / "run", interrupt_after=1
             ).run()
         run = RunDirectory.open(tmp_path / "run")
-        assert run.load_journal().journaled_outcomes >= 1
+        journal = run.load_journal()
+        assert journal.journaled_outcomes >= 1
         telemetry = json.loads(run.telemetry_path.read_text())
         assert telemetry["complete"] is False
         assert not run.report_path.exists()
+        # The interrupted run still says how much had leaked so far.
+        journaled = [
+            outcome
+            for outcomes in journal.outcomes_by_board.values()
+            for outcome in outcomes
+        ]
+        assert telemetry["victims_attacked"] == journal.journaled_outcomes
+        assert telemetry["victims_attacked"] == len(journaled)
+        assert telemetry["victims_leaked"] == sum(
+            outcome.succeeded for outcome in journaled
+        )
+        assert telemetry["victims_leaked"] >= 1
 
     def test_resume_reuses_complete_boards(self, tmp_path):
         with pytest.raises(CampaignInterrupted):

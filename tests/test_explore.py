@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.defense.arena import probe_weight_theft
 from repro.explore import (
     AttackGenome,
     EvolutionConfig,
@@ -25,6 +26,7 @@ from repro.explore import (
     random_genome,
     sweep_defense_space,
 )
+from repro.explore import fitness
 from repro.explore.genome import (
     CARVE_WINDOWS,
     CORRUPTION_LEVELS,
@@ -114,6 +116,28 @@ class TestGenomeEvaluator:
     def test_unknown_fitness_rejected(self):
         with pytest.raises(ValueError, match="unknown fitness"):
             GenomeEvaluator(fitness="vibes")
+
+    def test_weights_fitness_scores_the_probe_without_a_campaign(
+        self, monkeypatch
+    ):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the weights fitness ran a campaign")
+
+        monkeypatch.setattr(fitness, "evaluate_world", no_campaign)
+        evaluator = GenomeEvaluator(fitness="weights", input_hw=16)
+        genome = random_genome(random.Random(4))
+        spec = genome.to_scenario(input_hw=16).to_spec()
+        expected = probe_weight_theft(
+            evaluator.profile.kernel_config(spec),
+            input_hw=16,
+            delay_ticks=genome.delay_ticks,
+        )
+        assert expected > 0.0
+        assert evaluator.score(genome) == expected
+        clone = genome_from_dict(genome_to_dict(genome))
+        assert evaluator.score(clone) == expected
+        assert evaluator.evaluations == 1
+        assert evaluator.cache_hits == 1
 
 
 # -- evolution ----------------------------------------------------------------

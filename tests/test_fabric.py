@@ -10,8 +10,8 @@ The acceptance claims, pinned:
   different worker), duplicate claims, replayed outcome streams, and
   torn byte streams;
 - duplicate and replayed waves never double-count victims — the
-  journal, the :class:`OutcomeAccumulator`, and the final report all
-  see each ``job_id`` exactly once;
+  journal, the telemetry counts, and the final report all see each
+  ``job_id`` exactly once;
 - the lease table is a fencing mechanism: expiry re-issues a board
   under a new epoch and every op under the old token is rejected;
 - dumps travel by digest with verification on both ends: a corrupted
@@ -48,7 +48,12 @@ from fabric_chaos import (
     run_chaos_drill,
 )
 from repro import wire
-from repro.campaign import CampaignSpec, prepare_offline_cached
+from repro.campaign import (
+    CampaignReport,
+    CampaignSpec,
+    prepare_offline_cached,
+)
+from repro.campaign.runtime import executors
 from repro.campaign.runtime.fabric import (
     FABRIC_FORMAT,
     FabricClient,
@@ -317,13 +322,14 @@ class TestWireSpool:
     def test_round_trip_by_digest(self, coordinator):
         payload = os.urandom(4096) + b"\x00" * 512
         digest = hashlib.sha256(payload).hexdigest()
+        assert digest not in coordinator.run_dir.spool
         with _client(coordinator) as client:
-            assert not client.request("has_dump", sha256=digest)["present"]
             receipt = client.put_dump(payload)
             assert receipt["deduplicated"] is False
             assert receipt["nbytes"] == len(payload)
-            assert client.request("has_dump", sha256=digest)["present"]
+            # A second upload of the same bytes is filed by content.
             assert client.put_dump(payload)["deduplicated"] is True
+            assert client.request("status")["dumps_deduplicated"] == 1
             assert client.fetch_dump(digest) == payload
         # and it landed in the coordinator's content-addressed store
         assert coordinator.run_dir.spool.read(digest) == payload
@@ -374,19 +380,20 @@ class TestWireSpool:
         planted = coordinator.run_dir.root.parent / "secret.bin"
         planted.write_bytes(secret)
         host, port = coordinator.address
-        for op in ("has_dump", "fetch_dump"):
-            with socket.create_connection((host, port), timeout=10) as sock:
-                stream = sock.makefile("rwb")
-                stream.write(wire.encode({"op": op, "sha256": "../../secret"}))
-                stream.flush()
-                line = stream.readline()
-                stream.close()
-            response = wire.decode(line)
-            assert response["ok"] is False, op
-            assert response["code"] == "bad-request", op
-            assert "present" not in response and "data" not in response
-            assert base64.b64encode(secret) not in line
-            assert secret not in line
+        with socket.create_connection((host, port), timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(
+                wire.encode({"op": "fetch_dump", "sha256": "../../secret"})
+            )
+            stream.flush()
+            line = stream.readline()
+            stream.close()
+        response = wire.decode(line)
+        assert response["ok"] is False
+        assert response["code"] == "bad-request"
+        assert "data" not in response
+        assert base64.b64encode(secret) not in line
+        assert secret not in line
         assert planted.read_bytes() == secret
 
     def test_unknown_digest_fetch_raises(self, coordinator):
@@ -500,25 +507,31 @@ class TestChaos:
         assert fabric == reference
         assert status["reclaims"] >= 2
 
-    def test_accumulator_counts_match_report_after_replay_storm(
+    def test_telemetry_counts_match_report_after_replay_storm(
         self, tmp_path
     ):
-        # The coordinator's streaming accumulator (telemetry) must
-        # agree with the journal-rebuilt report even after duplicate
-        # and replayed waves — the no-double-count satellite.
-        fabric, _, _ = run_chaos_drill(
+        # The coordinator's telemetry counts must agree with the
+        # journal-rebuilt report even after duplicate and replayed
+        # waves: no victim is counted twice.
+        run_chaos_drill(
             SPEC,
             tmp_path,
             plans=[
                 FaultPlan(duplicate_waves=True, replay_on_reconnect=True)
             ],
         )
-        report = json.loads(fabric)
-        telemetry = json.loads(
-            (tmp_path / "fabric" / "telemetry.json").read_text()
-        )
-        assert telemetry["victims_attacked"] == len(report["outcomes"])
-        assert telemetry["victims_attacked"] == SPEC.victims
+        _assert_telemetry_counts_report(tmp_path / "fabric")
+
+
+def _assert_telemetry_counts_report(run_dir) -> None:
+    """The run's telemetry counts exactly the victims its report holds."""
+    report = CampaignReport.from_json((run_dir / "report.json").read_text())
+    telemetry = json.loads((run_dir / "telemetry.json").read_text())
+    assert telemetry["victims_attacked"] == report.victims
+    assert telemetry["victims_attacked"] == report.spec.victims
+    assert telemetry["victims_leaked"] == sum(
+        outcome.succeeded for outcome in report.outcomes
+    )
 
 
 def _fd_count() -> int:
@@ -636,6 +649,106 @@ class TestFlakyProxyFdHygiene:
 
 # ---------------------------------------------------------------------------
 # coordinator lifecycle
+
+
+class TestWorkerBoardLoop:
+    """A fabric worker plays its boards through the executors' loop."""
+
+    def test_threaded_campaign_provisions_through_the_executors(
+        self, tmp_path, monkeypatch
+    ):
+        # Board 3 gets no victim: it completes without being booted.
+        spec = CampaignSpec(boards=4, victims=3, seed=2)
+        populated = sorted(jobs_by_board(build_schedule(spec)))
+        assert populated == [0, 1, 2]
+        reference = reference_report_bytes(spec, tmp_path)
+        coordinator, clock = build_coordinator(spec, tmp_path)
+        provisioned: list[int] = []
+        original = executors.provision_board
+
+        def counting(*args):
+            provisioned.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(executors, "provision_board", counting)
+        with coordinator:
+            drain(coordinator, clock, concurrent=2)
+            coordinator.run_until_complete(timeout=60)
+        assert sorted(provisioned) == populated
+        assert coordinator.run_dir.report_path.read_bytes() == reference
+        _assert_telemetry_counts_report(coordinator.run_dir.root)
+
+    def test_each_worker_uploads_each_digest_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Under zero_on_free every dump of one size is the same zeros,
+        # so digests repeat within a board and across the workers.
+        coordinator, clock = build_coordinator(
+            SPEC, tmp_path, defense_profile="zero_on_free"
+        )
+        ops: list[str] = []
+        uploads: dict[str, list[str]] = {}
+        speaker: dict[threading.Thread, str] = {}
+        original = FabricCoordinator.handle_request
+
+        def recording(self, request):
+            # One connection per worker, served on its own thread.
+            thread = threading.current_thread()
+            if "worker" in request:
+                speaker[thread] = str(request["worker"])
+            op = str(request.get("op"))
+            ops.append(op)
+            if op == "put_dump":
+                uploads.setdefault(speaker[thread], []).append(
+                    str(request["sha256"])
+                )
+            return original(self, request)
+
+        monkeypatch.setattr(FabricCoordinator, "handle_request", recording)
+        with coordinator:
+            drain(coordinator, clock, concurrent=2)
+            coordinator.run_until_complete(timeout=60)
+        report = CampaignReport.from_json(
+            coordinator.run_dir.report_path.read_text()
+        )
+        cited = [o.dump_sha256 for o in report.outcomes if o.dump_sha256]
+        assert len(set(cited)) < len(cited)  # the digests do repeat
+        assert "has_dump" not in ops
+        assert set(uploads) <= {"drain-r0w0", "drain-r0w1"}
+        for digests in uploads.values():
+            assert len(digests) == len(set(digests))
+        sent = [digest for digests in uploads.values() for digest in digests]
+        assert set(sent) == set(cited)
+        status = coordinator.status()
+        assert status["dumps_received"] == len(sent)
+        assert status["dumps_deduplicated"] == len(sent) - len(set(sent))
+        # Nothing leaks under zero_on_free, which the counts must show.
+        _assert_telemetry_counts_report(coordinator.run_dir.root)
+
+    def test_format_mismatch_is_refused_at_hello(
+        self, coordinator, monkeypatch
+    ):
+        original = FabricCoordinator.handle_request
+
+        def older_coordinator(self, request):
+            response = original(self, request)
+            if request.get("op") == "hello":
+                response = {**response, "format": FABRIC_FORMAT - 1}
+            return response
+
+        monkeypatch.setattr(
+            FabricCoordinator, "handle_request", older_coordinator
+        )
+        host, port = coordinator.address
+        worker = FabricWorker(
+            host, port, worker_id="mismatched", poll_interval=None,
+            heartbeat=False,
+        )
+        with pytest.raises(FabricProtocolError, match="format"):
+            worker.run()
+        status = coordinator.status()
+        assert status["leases_issued"] == 0
+        assert status["boards_pending"] == SMALL.boards
 
 
 class TestCoordinator:
