@@ -24,7 +24,6 @@ from repro.analysis.scan import (
     CLASS_LOW_MAGNITUDE,
     CLASS_PRINTABLE,
     CLASS_TABLE,
-    LOW_MAGNITUDE_BYTES,
     PRINTABLE_BYTES,
     ScanCore,
     count_positive,
@@ -36,7 +35,6 @@ __all__ = [
     "CLASS_LOW_MAGNITUDE",
     "CLASS_PRINTABLE",
     "CLASS_TABLE",
-    "LOW_MAGNITUDE_BYTES",
     "PRINTABLE_BYTES",
     "ScanCore",
     "count_positive",

@@ -6,10 +6,13 @@ dump (`repro.attack.carving`) and grepping it for model signatures
 (`repro.attack.identify`) still walked the bytes in Python.  This
 module is the shared engine those paths now route through:
 
-- **256-entry byte-class translate tables** — :data:`CLASS_TABLE` maps
-  every byte to a two-bit class (printable / low-magnitude), so class
-  membership counts over any window are C-speed ``bytes.translate`` +
-  ``bytes.count`` calls instead of per-byte Python loops.
+- **One byte-class rule** — a byte is printable or low-magnitude by
+  two uint8 comparisons (:func:`printable_mask`,
+  :func:`low_magnitude_mask`).  A block's windows are counted with
+  them directly; :data:`CLASS_TABLE`, :data:`PRINTABLE_BYTES` (the
+  ``bytes.translate`` operand a lone window's count uses) and the
+  histogram bins the other counts sum are all built from them, so no
+  path can drift from another.
 - **Buffer-generic dispatch** — every entry point accepts any
   C-contiguous bytes-like object (``bytes``, ``bytearray``,
   ``memoryview``, ``mmap.mmap``) without copying it: ``bytes`` and
@@ -18,31 +21,34 @@ module is the shared engine those paths now route through:
   (see :func:`as_uint8`) and vectorized equivalents.  An mmap-backed
   spool object therefore scans at the same speed as a slurped copy,
   minus the copy.
-- **Windowed counts over ``memoryview`` slices** — per-window byte
-  histograms come from ``np.bincount`` over zero-copy ``memoryview``
-  slices; the batch classifier histograms thousands of windows in one
-  vectorized pass.
+- **Block-sized scratch** — a dump is scanned in blocks of
+  :attr:`ScanCore.BLOCK_BYTES`, and a block's windows are histogrammed
+  in batches by one ``bincount`` over ``intp`` keys, each batch within
+  :attr:`ScanCore.HISTOGRAM_SCRATCH`.  Every temporary is sized by its
+  block, never by its dump, and only one int8 kind code per window
+  outlives its block, so an analysis costs a few MiB of scratch for
+  any dump size.
 - **A precomputed log2 table** — entropy is derived from counts as
   ``log2(n) - sum(c*log2(c))/n`` using a lazily grown ``c*log2(c)``
   table, never from per-byte probability loops.
-- **Zero/constant fast paths** — all-zero and single-byte windows are
-  detected with ``data.count(value, start, end)`` before any histogram
-  is built, so the (dominant) scrubbed and marker regions cost two C
-  calls per window.
+- **Zero/constant fast paths** — uniform windows are settled by one
+  vectorized comparison before any histogram is built, so the
+  (dominant) scrubbed and marker regions never reach ``bincount``.
 
-:class:`ScanCore` owns the reusable scratch state (the log2 table,
-the batch offset vector); the module-level core shared by
-:mod:`repro.attack.carving` warms those tables once per process and
-serves every dump of every campaign wave, across all board-worker
-threads.  The straightforward implementations these fast paths replaced
-live on in :mod:`repro.analysis.reference` and the equivalence between
-the two is asserted by ``tests/test_analysis_scan.py`` and enforced at
-benchmark time by ``tools/bench_runner.py``.
+:class:`ScanCore` owns the reusable scratch state (the log2 table);
+the module-level core shared by :mod:`repro.attack.carving` warms it
+once per process and serves every dump of every campaign wave, across
+all board-worker threads.  The straightforward implementations these
+fast paths replaced live on in :mod:`repro.analysis.reference` and the
+equivalence between the two is asserted by
+``tests/test_analysis_scan.py`` and enforced at benchmark time by
+``tools/bench_runner.py``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,33 +60,39 @@ CLASS_LOW_MAGNITUDE = 0x02
 """Class bit: byte < 64 or byte >= 192 — a signed int8 value near
 zero, the footprint of quantized weights."""
 
+
+def printable_mask(values: np.ndarray) -> np.ndarray:
+    """Which of the uint8 *values* are in :data:`CLASS_PRINTABLE`.
+
+    uint8 arithmetic wraps, so 0x20-0x7E is exactly
+    ``value - 0x20 < 0x5F``.  Comparisons release the GIL, where
+    ``bytes.translate`` does not.
+    """
+    return (np.subtract(values, 0x20, dtype=np.uint8) < 0x5F) | (values == 0)
+
+
+def low_magnitude_mask(values: np.ndarray) -> np.ndarray:
+    """Which of the uint8 *values* are in :data:`CLASS_LOW_MAGNITUDE`:
+    below 64 or from 192 is exactly ``value + 64 < 128`` in uint8."""
+    return np.add(values, 64, dtype=np.uint8) < 128
+
+
+_ALL_BYTES = np.arange(256, dtype=np.uint8)
+
+_PRINTABLE_VALUES = np.flatnonzero(printable_mask(_ALL_BYTES))
+
+_LOW_MAGNITUDE_VALUES = np.flatnonzero(low_magnitude_mask(_ALL_BYTES))
+
 CLASS_TABLE = bytes(
-    (CLASS_PRINTABLE if (byte == 0 or 0x20 <= byte <= 0x7E) else 0)
-    | (CLASS_LOW_MAGNITUDE if (byte < 64 or byte >= 192) else 0)
-    for byte in range(256)
+    (CLASS_PRINTABLE if printable else 0) | (CLASS_LOW_MAGNITUDE if low else 0)
+    for printable, low in zip(
+        printable_mask(_ALL_BYTES), low_magnitude_mask(_ALL_BYTES)
+    )
 )
-"""The 256-entry byte→class translate table.  ``data.translate(
-CLASS_TABLE)`` turns a dump into class bytes whose windowed
-``count(class, start, end)`` calls replace per-byte Python loops."""
+"""Both class bits of every byte value, built from the two masks."""
 
-PRINTABLE_BYTES = bytes(
-    byte for byte in range(256) if CLASS_TABLE[byte] & CLASS_PRINTABLE
-)
+PRINTABLE_BYTES = _PRINTABLE_VALUES.astype(np.uint8).tobytes()
 """Every printable byte value, as a ``translate``/``count`` operand."""
-
-LOW_MAGNITUDE_BYTES = bytes(
-    byte for byte in range(256) if CLASS_TABLE[byte] & CLASS_LOW_MAGNITUDE
-)
-"""Every low-magnitude byte value (see :data:`CLASS_LOW_MAGNITUDE`)."""
-
-CLASS_NP = np.frombuffer(CLASS_TABLE, dtype=np.uint8)
-"""The translate table as a numpy gather table: ``CLASS_NP[arr]`` is
-the vectorized equivalent of ``data.translate(CLASS_TABLE)`` for
-buffers (mmap, memoryview) that have no ``translate`` method."""
-
-_LOW_MAGNITUDE_VALUES = np.flatnonzero(CLASS_NP & CLASS_LOW_MAGNITUDE)
-
-_PRINTABLE_VALUES = np.flatnonzero(CLASS_NP & CLASS_PRINTABLE)
 
 # Window-kind codes produced by the classifiers.  repro.attack.carving
 # maps them onto its public RegionKind enum; the numeric order encodes
@@ -140,24 +152,61 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
     return math.log2(n) - float((nonzero * np.log2(nonzero)).sum()) / n
 
 
+@dataclass(frozen=True)
+class ByteStats:
+    """Whole-buffer statistics that one byte histogram settles.
+
+    The one whole-buffer path: :meth:`ScanCore.entropy`,
+    :func:`repro.attack.carving.shannon_entropy` and
+    :func:`repro.attack.carving.printable_fraction` read their field
+    of it.  ``nonzero`` equals :func:`nonzero_count`, which the
+    campaign keeps for its single C-level ``count`` call.
+    """
+
+    entropy: float
+    printable_fraction: float
+    nonzero: int
+
+    @classmethod
+    def of_counts(cls, counts: np.ndarray) -> "ByteStats":
+        """The statistics of the buffer whose 256-bin histogram is *counts*."""
+        n = int(counts.sum())
+        if n == 0:
+            return cls(entropy=0.0, printable_fraction=1.0, nonzero=0)
+        return cls(
+            entropy=_entropy_from_counts(counts, n),
+            printable_fraction=int(counts[_PRINTABLE_VALUES].sum()) / n,
+            nonzero=n - int(counts[0]),
+        )
+
+
 class ScanCore:
     """Reusable single-pass scanning engine.
 
     Holds the scratch state the fast paths share — the ``c*log2(c)``
-    table, the vectorized batch offsets, nothing per-dump — so one
-    core instance can serve every dump of a whole campaign.  The
-    scratch only ever grows and lookups return local references, so
-    the default shared core in :mod:`repro.attack.carving` is safe
-    across the campaign engine's board-worker threads.
+    table, nothing per-dump — so one core instance can serve every
+    dump of a whole campaign.  The scratch only ever grows and lookups
+    return local references, so the default shared core in
+    :mod:`repro.attack.carving` is safe across the campaign engine's
+    board-worker threads.
     """
 
-    BATCH_WINDOWS = 2048
-    """Windows histogrammed per vectorized batch; bounds temp arrays
-    to a few MiB regardless of dump size."""
+    BLOCK_BYTES = 1 << 18
+    """Dump bytes one block of a scan covers (at least one window).
+    Much smaller blocks save little more memory but let per-call
+    overhead, which holds the GIL, dominate: two analysis threads then
+    stop overlapping (docs/performance.md, "Bounded analysis
+    memory")."""
+
+    HISTOGRAM_SCRATCH = 1 << 20
+    """Bytes of ``intp`` keys plus int64 counts one ``bincount`` may
+    build.  A batch of windows costs ``8 * (window + 256)`` bytes per
+    window, so it holds at most 481 windows (at the minimum window of
+    16 bytes) and 102 of 1024 bytes; a whole-dump histogram adds up
+    ``HISTOGRAM_SCRATCH // 8`` dump bytes per call."""
 
     def __init__(self) -> None:
         self._clog2: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
 
     # -- shared scratch tables ----------------------------------------------
 
@@ -183,39 +232,44 @@ class ScanCore:
                 self._clog2 = table
         return table
 
-    def _batch_offsets(self, m: int) -> np.ndarray:
-        """Per-window histogram offsets (window i counts into bins
-        ``[256*i, 256*i+256)``) for the batched ``bincount`` trick."""
-        if self._offsets is None or len(self._offsets) < m:
-            self._offsets = np.arange(
-                max(m, self.BATCH_WINDOWS), dtype=np.int32
-            ) * 256
-        return self._offsets[:m, None]
-
     # -- windowed statistics ------------------------------------------------
 
-    @staticmethod
-    def byte_counts(data, start: int = 0, end: int | None = None) -> np.ndarray:
-        """256-bin byte histogram of ``data[start:end]`` (zero-copy slice)."""
-        return np.bincount(as_uint8(data, start, end), minlength=256)
+    def byte_counts(
+        self, data, start: int = 0, end: int | None = None
+    ) -> np.ndarray:
+        """256-bin byte histogram of ``data[start:end]`` (zero-copy slice).
+
+        Accumulated in pieces of ``HISTOGRAM_SCRATCH // 8`` bytes:
+        ``bincount`` casts its input to ``intp``, so one call over a
+        whole dump would cost eight bytes of scratch per dump byte.
+        """
+        view = as_uint8(data, start, end)
+        step = max(1, self.HISTOGRAM_SCRATCH // 8)
+        counts = np.zeros(256, dtype=np.intp)
+        for first in range(0, view.size, step):
+            counts += np.bincount(view[first : first + step], minlength=256)
+        return counts
+
+    def byte_stats(
+        self, data, start: int = 0, end: int | None = None
+    ) -> ByteStats:
+        """Entropy, printable fraction and non-zero count of
+        ``data[start:end]``, all from one block-accumulated histogram.
+
+        Entropy is computed from counts as ``log2(n) -
+        sum(c*log2(c))/n`` — the algebraic rewrite of
+        ``-sum(p*log2(p))`` that never touches per-byte probabilities.
+        """
+        return ByteStats.of_counts(self.byte_counts(data, start, end))
 
     def entropy(self, data, start: int = 0, end: int | None = None) -> float:
-        """Bits of Shannon entropy per byte of ``data[start:end]``.
+        """Bits of Shannon entropy per byte of ``data[start:end]`` (0.0
+        when empty), off :meth:`byte_stats`."""
+        return self.byte_stats(data, start, end).entropy
 
-        Computed from counts as ``log2(n) - sum(c*log2(c))/n`` — the
-        algebraic rewrite of ``-sum(p*log2(p))`` that never touches
-        per-byte probabilities.  A histogram has at most 256 nonzero
-        bins, so the ``c*log2(c)`` terms are computed directly on
-        them; memory stays O(256) for any input size.
-        """
-        counts = self.byte_counts(data, start, end)
-        n = int(counts.sum())
-        if n == 0:
-            return 0.0
-        return _entropy_from_counts(counts, n)
-
-    @staticmethod
-    def printable_count(data, start: int = 0, end: int | None = None) -> int:
+    def printable_count(
+        self, data, start: int = 0, end: int | None = None
+    ) -> int:
         """Printable-class bytes in ``data[start:end]``.
 
         ``bytes``/``bytearray`` use the C-level translate-delete trick
@@ -227,26 +281,8 @@ class ScanCore:
         if isinstance(data, (bytes, bytearray)):
             segment = data if (start == 0 and end == len(data)) else data[start:end]
             return len(segment) - len(segment.translate(None, PRINTABLE_BYTES))
-        counts = ScanCore.byte_counts(data, start, end)
+        counts = self.byte_counts(data, start, end)
         return int(counts[_PRINTABLE_VALUES].sum())
-
-    @staticmethod
-    def low_magnitude_count(
-        data, start: int = 0, end: int | None = None
-    ) -> int:
-        """Low-magnitude-class bytes in ``data[start:end]`` (copy-free)."""
-        if end is None:
-            end = len(data)
-        if isinstance(data, (bytes, bytearray)):
-            segment = data if (start == 0 and end == len(data)) else data[start:end]
-            return len(segment) - len(segment.translate(None, LOW_MAGNITUDE_BYTES))
-        counts = ScanCore.byte_counts(data, start, end)
-        return int(counts[_LOW_MAGNITUDE_VALUES].sum())
-
-    @staticmethod
-    def nonzero_bytes(data) -> int:
-        """Bytes of *data* that are not the 0x00 scrub pattern."""
-        return nonzero_count(data)
 
     # -- window classification ----------------------------------------------
 
@@ -290,88 +326,86 @@ class ScanCore:
         text_threshold: float,
         random_entropy: float,
         quantized_max_alphabet: int,
-    ) -> list[int]:
-        """KIND codes for every *window*-sized slice of *data*.
+    ) -> np.ndarray:
+        """KIND codes (int8) for every *window*-sized slice of *data*.
 
-        Full windows are classified in vectorized batches: one
-        ``bincount`` builds the histograms of :data:`BATCH_WINDOWS`
-        windows at a time, and every statistic (zero, constant,
-        printable fraction, entropy, alphabet size, low-magnitude
-        fraction) falls out of the histogram matrix.  The trailing
+        Full windows are classified one block of
+        :attr:`BLOCK_BYTES` at a time by :meth:`_classify_block`; only
+        each window's int8 code outlives its block.  The trailing
         partial window (if any) goes through :meth:`classify_span`,
         which applies the identical decision order.
         """
         n = len(data)
-        if n == 0:
-            return []
-        codes: list[int] = []
-        full = (n // window) * window
-        if full:
-            arr = as_uint8(data, 0, full).reshape(-1, window)
-            nwin = arr.shape[0]
-            # Class-bit counts for every window at once: one C-level
-            # translate of the dump (bytes/bytearray), or the numpy
-            # gather equivalent for buffers without a translate method.
-            if isinstance(data, (bytes, bytearray)):
-                classes = np.frombuffer(
-                    memoryview(data.translate(CLASS_TABLE))[:full],
-                    dtype=np.uint8,
-                ).reshape(-1, window)
-            else:
-                classes = CLASS_NP[arr]
-            printable = np.add.reduce(classes & 1, axis=1, dtype=np.intp)
-            low = np.add.reduce(classes >> 1, axis=1, dtype=np.intp)
-            text = (printable / window) >= text_threshold
-            low_fraction = (low / window) > 0.9
+        full = n // window
+        codes = np.empty(-(-n // window), dtype=np.int8)
+        per_block = max(1, self.BLOCK_BYTES // window)
+        for first in range(0, full, per_block):
+            last = min(first + per_block, full)
+            codes[first:last] = self._classify_block(
+                as_uint8(data, first * window, last * window).reshape(
+                    -1, window
+                ),
+                text_threshold, random_entropy, quantized_max_alphabet,
+            )
+        if full < len(codes):
+            codes[full] = self.classify_span(
+                data, full * window, n,
+                text_threshold, random_entropy, quantized_max_alphabet,
+            )
+        return codes
 
-            threshold = min(random_entropy, math.log2(window) - 0.7)
-            log2_window = math.log2(window)
-            table = self._clog2_table(window)
-            # Zero/constant fast path, vectorized: a uniform window
-            # never needs a histogram.  Alphabet size and entropy are
-            # then computed only for windows the earlier checks
-            # (uniform, text) did not already settle.
-            zero = np.empty(nwin, dtype=bool)
-            constant = np.empty(nwin, dtype=bool)
-            distinct = np.zeros(nwin, dtype=np.intp)
-            entropy = np.zeros(nwin, dtype=np.float64)
-            for batch_start in range(0, nwin, self.BATCH_WINDOWS):
-                block = arr[batch_start : batch_start + self.BATCH_WINDOWS]
-                stop = batch_start + block.shape[0]
-                uniform = (block == block[:, :1]).all(axis=1)
-                first_is_zero = block[:, 0] == 0
-                zero[batch_start:stop] = uniform & first_is_zero
-                constant[batch_start:stop] = uniform & ~first_is_zero
-                need = ~(uniform | text[batch_start:stop])
-                if not need.any():
-                    continue
-                sub = block[need]
-                m = sub.shape[0]
-                counts = np.bincount(
-                    (sub + self._batch_offsets(m)).ravel(),
-                    minlength=m * 256,
-                ).reshape(m, 256)
-                distinct[batch_start:stop][need] = (counts > 0).sum(axis=1)
-                entropy[batch_start:stop][need] = (
-                    log2_window - table[counts].sum(axis=1) / window
-                )
+    def _classify_block(
+        self,
+        block: np.ndarray,
+        text_threshold: float,
+        random_entropy: float,
+        quantized_max_alphabet: int,
+    ) -> np.ndarray:
+        """KIND codes of the windows that are *block*'s rows.
+
+        Uniform and text windows are settled from comparisons alone;
+        only the rest are histogrammed, as many per ``bincount`` as
+        :attr:`HISTOGRAM_SCRATCH` allows, and every later statistic
+        (entropy, then alphabet size and low-magnitude fraction for the
+        windows that are not random) falls out of those rows.  The
+        class counts come from :func:`printable_mask` and
+        :func:`low_magnitude_mask`.
+        """
+        nwin, window = block.shape
+        uniform = (block == block[:, :1]).all(axis=1)
+        printable = np.count_nonzero(printable_mask(block), axis=1)
+        text = (printable / window) >= text_threshold
+        # Later assignments win: zero, then constant, then text.
+        codes = np.full(nwin, KIND_MIXED, dtype=np.int8)
+        codes[text] = KIND_TEXT
+        codes[uniform] = KIND_CONSTANT
+        codes[uniform & (block[:, 0] == 0)] = KIND_ZERO
+        need = np.flatnonzero(~(uniform | text))
+        if not need.size:
+            return codes
+
+        threshold = min(random_entropy, math.log2(window) - 0.7)
+        log2_window = math.log2(window)
+        table = self._clog2_table(window)
+        batch = max(1, self.HISTOGRAM_SCRATCH // (8 * (window + 256)))
+        offsets = np.arange(min(need.size, batch), dtype=np.intp)[:, None] * 256
+        for first in range(0, need.size, batch):
+            rows = need[first : first + batch]
+            m = rows.size
+            sub = block[rows]
+            counts = np.bincount(
+                np.add(sub, offsets[:m], dtype=np.intp).ravel(),
+                minlength=m * 256,
+            ).reshape(m, 256)
+            entropy = log2_window - table[counts].sum(axis=1) / window
             random_kind = entropy >= threshold
-            quantized = (distinct <= quantized_max_alphabet) & low_fraction
-            codes.extend(
-                np.select(
-                    [zero, constant, text, random_kind, quantized],
-                    [
-                        KIND_ZERO, KIND_CONSTANT, KIND_TEXT, KIND_RANDOM,
-                        KIND_QUANTIZED,
-                    ],
-                    default=KIND_MIXED,
-                ).tolist()
-            )
-        if full < n:
-            codes.append(
-                self.classify_span(
-                    data, full, n,
-                    text_threshold, random_entropy, quantized_max_alphabet,
-                )
-            )
+            codes[rows[random_kind]] = KIND_RANDOM
+            rest = np.flatnonzero(~random_kind)
+            if not rest.size:
+                continue
+            low = np.count_nonzero(low_magnitude_mask(sub[rest]), axis=1)
+            quantized = (
+                np.count_nonzero(counts[rest], axis=1) <= quantized_max_alphabet
+            ) & ((low / window) > 0.9)
+            codes[rows[rest[quantized]]] = KIND_QUANTIZED
         return codes

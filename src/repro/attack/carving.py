@@ -23,9 +23,10 @@ MIXED           none of the above (pixel data, headers, packed misc)
 ==============  ====================================================
 
 The per-window statistics come from the shared single-pass engine in
-:mod:`repro.analysis.scan` — byte-class translate tables, batched
-histograms, a precomputed log2 table — instead of per-byte Python
-loops; the original implementations survive in
+:mod:`repro.analysis.scan` — block-sized scans, batched histograms, a
+precomputed log2 table — instead of per-byte Python loops, and the
+regions are merged from the run boundaries of the per-window kind
+codes; the original implementations survive in
 :mod:`repro.analysis.reference` and the equivalence is regression-
 tested and re-verified by ``tools/bench_runner.py``.
 """
@@ -36,6 +37,8 @@ import bisect
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.scan import (
     KIND_CONSTANT,
     KIND_MIXED,
@@ -43,6 +46,7 @@ from repro.analysis.scan import (
     KIND_RANDOM,
     KIND_TEXT,
     KIND_ZERO,
+    ByteStats,
     ScanCore,
 )
 
@@ -92,18 +96,21 @@ class Region:
         return self.start <= offset < self.end
 
 
+def byte_stats(data) -> ByteStats:
+    """Entropy, printable fraction and non-zero count of *data* from
+    one histogram, built block by block (see
+    :meth:`~repro.analysis.scan.ScanCore.byte_counts`)."""
+    return _SHARED_CORE.byte_stats(data)
+
+
 def shannon_entropy(data) -> float:
     """Bits of entropy per byte of *data* (0.0 for empty input)."""
-    if len(data) == 0:
-        return 0.0
-    return _SHARED_CORE.entropy(data)
+    return byte_stats(data).entropy
 
 
 def printable_fraction(data) -> float:
     """Fraction of bytes in the printable ASCII range (1.0 for empty)."""
-    if len(data) == 0:
-        return 1.0
-    return _SHARED_CORE.printable_count(data) / len(data)
+    return byte_stats(data).printable_fraction
 
 
 class DumpCartographer:
@@ -147,22 +154,16 @@ class DumpCartographer:
             self._random_entropy,
             self._quantized_max_alphabet,
         )
-        if not codes:
+        if not codes.size:
             return []
-        regions: list[Region] = []
-        window = self._window
-        run_start = 0
-        run_code = codes[0]
-        for index in range(1, len(codes)):
-            if codes[index] != run_code:
-                boundary = index * window
-                regions.append(
-                    Region(run_start, boundary, _KIND_BY_CODE[run_code])
-                )
-                run_start = boundary
-                run_code = codes[index]
-        regions.append(Region(run_start, len(data), _KIND_BY_CODE[run_code]))
-        return regions
+        # Window indices where a new run starts, then byte bounds.
+        starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+        kinds = codes[np.concatenate(([0], starts))].tolist()
+        bounds = [0, *(starts * self._window).tolist(), len(data)]
+        return [
+            Region(bounds[index], bounds[index + 1], _KIND_BY_CODE[kind])
+            for index, kind in enumerate(kinds)
+        ]
 
     def region_at(self, regions: list[Region], offset: int) -> Region:
         """The region containing *offset*; raises ``ValueError`` outside.

@@ -684,8 +684,10 @@ class FabricCoordinator:
             return {"board": board, "done": done}
 
     def _op_put_dump(self, request: dict) -> dict:
-        data = wire.decode_dump(request["data"], str(request["sha256"]))
-        entry = self._spool.put_bytes(data)
+        data, digest = wire.decode_dump(
+            request["data"], str(request["sha256"])
+        )
+        entry = self._spool.put_bytes(data, digest)
         with self._lock:
             self._dumps_received += 1
             if entry.deduplicated:
@@ -794,7 +796,8 @@ class _DumpWireOps:
         :class:`DumpTransferError` instead of returning corrupt bytes.
         """
         response = self.request("fetch_dump", sha256=sha256)
-        return wire.decode_dump(response["data"], sha256)
+        data, _ = wire.decode_dump(response["data"], sha256)
+        return data
 
 
 class FabricClient(_DumpWireOps):

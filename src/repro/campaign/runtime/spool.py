@@ -254,16 +254,23 @@ class DumpSpool:
         """
         return self._store(dump.sha256, dump.data, dump.nbytes)
 
-    def put_bytes(self, data: bytes) -> SpoolEntry:
+    def put_bytes(
+        self, data: bytes, verified_sha256: str | None = None
+    ) -> SpoolEntry:
         """File raw bytes under their own SHA-256.
 
         The transport-side twin of :meth:`put` — the distributed
-        fabric receives dump payloads off the wire as plain bytes with
-        no :class:`ScrapedDump` around them, hashes them itself, and
-        files them here; the returned entry's digest is therefore
-        always trustworthy regardless of what the sender claimed.
+        fabric and the analysis daemon receive dump payloads off the
+        wire as plain bytes with no :class:`ScrapedDump` around them
+        and file them here.  *verified_sha256*, when given, must be the
+        digest computed from *data* itself — the one
+        :func:`repro.wire.decode_dump` returns, never a sender's claim
+        — and is filed under as is, so an upload is hashed once.
+        Without it the spool hashes *data* here.
         """
-        return self._store(hashlib.sha256(data).hexdigest(), data, len(data))
+        if verified_sha256 is None:
+            verified_sha256 = hashlib.sha256(data).hexdigest()
+        return self._store(verified_sha256, data, len(data))
 
     def _store(self, digest: str, data, nbytes: int) -> SpoolEntry:
         with self._lock:

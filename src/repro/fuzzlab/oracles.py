@@ -14,7 +14,11 @@ The registry covers every cross-cutting contract the codebase claims:
     :class:`~repro.utils.hexdump.HexDump` and the regex ``strings`` of
     :func:`~repro.utils.strings.extract_strings` is byte-/score-identical
     to its loop reference in :mod:`repro.analysis.reference`, on real
-    scraped residue;
+    scraped residue; each region map is also redrawn, and each dump's
+    whole-buffer entropy, printable fraction and non-zero count
+    recounted, by a scan core with tiny blocks, so the block and
+    histogram boundaries a capped dump never reaches at the default
+    sizes are crossed too;
 ``region_partition``
     a region map is a partition of the dump: starts at zero, covers
     every byte, no gaps, no overlaps, maximal runs, and the bisecting
@@ -93,6 +97,7 @@ from repro.analysis.reference import (
     reference_region_at,
     reference_shannon_entropy,
 )
+from repro.analysis.scan import ScanCore
 from repro.attack.carving import (
     DumpCartographer,
     Region,
@@ -127,6 +132,17 @@ are searched for alone and in the runs of two the reconstructor keeps."""
 
 STRING_MIN_LENGTHS = (4, 6)
 """``strings(1)``'s default run length and the profiler's."""
+
+
+class _TinyBlockCore(ScanCore):
+    """A scan core whose blocks and histogram batches are tiny: the
+    analysis caps (4-64 KiB) sit inside one default block."""
+
+    BLOCK_BYTES = 1024
+    HISTOGRAM_SCRATCH = 6 * 1024
+
+
+_TINY_BLOCK_CORE = _TinyBlockCore()
 
 ALLOCATOR_SCRIPT_STEPS = 48
 """Alloc/free steps per replayed allocator script."""
@@ -305,10 +321,27 @@ def _scan_equivalence(world: ScenarioWorld) -> list[str]:
                 f"{len(artifact.regions)} region(s), reference "
                 f"{len(reference)} — maps diverge"
             )
+        tiny = DumpCartographer(window=window, core=_TINY_BLOCK_CORE)
+        if tuple(tiny.map_dump(data)) != reference:
+            problems.append(
+                f"dump {artifact.digest[:12]}: map_dump over tiny scan "
+                f"blocks diverges from the reference"
+            )
         if nonzero_bytes(data) != reference_nonzero_bytes(data):
             problems.append(
                 f"dump {artifact.digest[:12]}: nonzero_bytes diverges "
                 f"from reference"
+            )
+        stats = _TINY_BLOCK_CORE.byte_stats(data)
+        if (stats.printable_fraction, stats.nonzero) != (
+            reference_printable_fraction(data), reference_nonzero_bytes(data)
+        ) or (
+            abs(stats.entropy - reference_shannon_entropy(data))
+            > ENTROPY_TOLERANCE
+        ):
+            problems.append(
+                f"dump {artifact.digest[:12]}: byte statistics over tiny "
+                f"histogram pieces diverge from the references"
             )
         for sample in _sample_windows(rng, data, window):
             fast = world.cartographer.classify_window(sample)

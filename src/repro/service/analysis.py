@@ -15,10 +15,10 @@ Determinism rules, load-bearing for that contract:
 - Floats are rounded to 6 decimal places at construction.  JSON
   round-trips such floats exactly, so a delta streamed over the wire
   and re-serialized equals the value computed locally, byte for byte.
-- :class:`AnalysisReport` keys on the dump's sha256 — not job ids,
-  not arrival order.  Duplicate uploads collapse to one row and rows
-  sort by digest, so any interleaving of clients aggregates to the
-  same bytes.
+- :class:`AnalysisReport` keys on the dump's sha256 and carve preset
+  — not job ids, not arrival order.  Duplicate submissions collapse
+  to one row and rows sort by that pair, so any interleaving of
+  clients aggregates to the same bytes.
 - Signature databases come from :func:`mine_database`, which routes
   through the campaign's memoized offline prep — same mix, same
   resolution, same database object.
@@ -30,16 +30,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from repro.attack.carving import (
-    DumpCartographer,
-    printable_fraction,
-    shannon_entropy,
-)
+from repro.attack.carving import DumpCartographer, byte_stats
 from repro.attack.identify import ModelIdentifier, SignatureDatabase
 from repro.campaign.engine import prepare_offline_cached
 from repro.campaign.schedule import CampaignSpec
 from repro.errors import IdentificationError
-from repro.evaluation.metrics import nonzero_bytes
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,10 @@ def analyze_dump(buffer, config: AnalysisConfig) -> DumpAnalysis:
     Pure: the result depends only on the bytes of *buffer* and the
     *config* — no boards, no clocks, no global state beyond the memoized
     scan tables.  *buffer* may be bytes, bytearray, memoryview, or an
-    mmap-backed spool object; nothing here copies it.
+    mmap-backed spool object; nothing here copies it, and every scan
+    of it walks fixed-size blocks, so its scratch memory does not grow
+    with the dump.  Entropy, printable fraction and residue all come
+    from one byte histogram.
 
     >>> from repro.service.analysis import CARVE_PRESETS
     >>> CARVE_PRESETS["fine"].window
@@ -156,6 +154,7 @@ def analyze_dump(buffer, config: AnalysisConfig) -> DumpAnalysis:
     """
     digest = hashlib.sha256(buffer).hexdigest()
     regions = config.carve.cartographer().map_dump(buffer)
+    stats = byte_stats(buffer)
     totals = DumpCartographer.kind_totals(regions)
     identifier = ModelIdentifier(config.database, min_score=config.min_score)
     try:
@@ -170,9 +169,9 @@ def analyze_dump(buffer, config: AnalysisConfig) -> DumpAnalysis:
     return DumpAnalysis(
         sha256=digest,
         nbytes=len(buffer),
-        residue_nbytes=nonzero_bytes(buffer),
-        entropy=round(shannon_entropy(buffer), 6),
-        printable_fraction=round(printable_fraction(buffer), 6),
+        residue_nbytes=stats.nonzero,
+        entropy=round(stats.entropy, 6),
+        printable_fraction=round(stats.printable_fraction, 6),
         region_count=len(regions),
         kind_bytes={
             kind.value: total for kind, total in sorted(
@@ -187,29 +186,31 @@ def analyze_dump(buffer, config: AnalysisConfig) -> DumpAnalysis:
 
 
 class AnalysisReport:
-    """Aggregate of :class:`DumpAnalysis` rows, keyed by dump digest.
+    """Aggregate of :class:`DumpAnalysis` rows, keyed by digest and preset.
 
     The order-independence contract lives here: rows are deduplicated
-    by sha256 (last write wins — analyses of identical bytes under the
-    same config are identical anyway) and serialized sorted by digest
-    with canonical JSON, so a report assembled from streamed deltas in
-    any arrival order is byte-identical to one assembled by a batch
-    run over the same dumps.
+    by ``(sha256, carve_preset)`` (last write wins — analyses of
+    identical bytes under the same config are identical anyway) and
+    serialized sorted by that pair with canonical JSON, so a report
+    assembled from streamed deltas in any arrival order is
+    byte-identical to one assembled by a batch run over the same
+    dumps.  A dump analyzed under two presets keeps both rows; a
+    single-preset report sorts by digest alone.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[str, DumpAnalysis] = {}
+        self._rows: dict[tuple[str, str], DumpAnalysis] = {}
 
     def add(self, analysis: DumpAnalysis) -> None:
         """Fold one dump's analysis into the aggregate."""
-        self._rows[analysis.sha256] = analysis
+        self._rows[analysis.sha256, analysis.carve_preset] = analysis
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def rows(self) -> list[DumpAnalysis]:
-        """All rows, sorted by digest."""
-        return [self._rows[digest] for digest in sorted(self._rows)]
+        """All rows, sorted by digest, then carve preset."""
+        return [self._rows[key] for key in sorted(self._rows)]
 
     def to_json(self) -> str:
         """Canonical serialization — the byte-identity anchor."""
@@ -223,15 +224,19 @@ class AnalysisReport:
         ) + "\n"
 
     def render(self) -> str:
-        """Human-readable summary table."""
-        lines = [f"{'sha256':<16} {'bytes':>10} {'residue':>10}  model"]
+        """Human-readable summary table, one line per row."""
+        lines = [
+            f"{'sha256':<16} {'preset':<7} {'bytes':>10} {'residue':>10}  "
+            f"model"
+        ]
         for row in self.rows():
             model = row.identified_model or "-"
             lines.append(
-                f"{row.sha256[:16]:<16} {row.nbytes:>10} "
-                f"{row.residue_nbytes:>10}  {model}"
+                f"{row.sha256[:16]:<16} {row.carve_preset:<7} "
+                f"{row.nbytes:>10} {row.residue_nbytes:>10}  {model}"
             )
-        lines.append(f"{len(self._rows)} dump(s)")
+        dumps = len({digest for digest, _ in self._rows})
+        lines.append(f"{dumps} dump(s) in {len(self._rows)} row(s)")
         return "\n".join(lines)
 
 

@@ -237,9 +237,11 @@ class AnalysisService:
         tenant = str(request["tenant"])
         if self._draining:
             raise ServiceDrainingError("daemon is draining; upload refused")
-        data = wire.decode_dump(request["data_b64"], request.get("sha256"))
+        data, digest = wire.decode_dump(
+            request["data_b64"], request.get("sha256")
+        )
         self._ledger.admit_upload(tenant, len(data))
-        entry = self._spool.put_bytes(data)
+        entry = self._spool.put_bytes(data, digest)
         return {
             "sha256": entry.sha256,
             "nbytes": entry.nbytes,

@@ -17,15 +17,17 @@ the same wire, defined here once:
   :data:`REFUSAL_CODES` with its code; the connection stays up.
 - **Dumps.**  Dump bytes travel as standard base64 beside their sha256
   (:func:`dump_fields`); the receiver decodes strictly and re-hashes
-  (:func:`decode_dump`), so bytes are never filed under a digest they
-  do not match.
+  (:func:`decode_dump`), and files the bytes under the digest that
+  hash gave, so bytes are never filed under a digest they do not
+  match.
 - **Listening.**  The threaded servers (the fabric coordinator and the
   chaos proxy) accept on an :class:`AcceptLoop`, which stops at once.
 
 >>> frame = encode({"op": "put_dump", **dump_fields(b"residue", "data")})
 >>> request = decode(frame)
->>> decode_dump(request["data"], request["sha256"])
-b'residue'
+>>> data, digest = decode_dump(request["data"], request["sha256"])
+>>> data, digest == request["sha256"]
+(b'residue', True)
 >>> dispatch({}, None, {"op": "frobnicate"})["code"]
 'bad-request'
 """
@@ -165,10 +167,15 @@ def dump_fields(data, field: str) -> dict:
     return {"sha256": digest, field: encode_dump(data)}
 
 
-def decode_dump(text, sha256: str | None) -> bytes:
-    """Dump bytes from strict base64 *text*, checked against *sha256*
-    (``None`` skips the check).  Bad base64 raises ``ValueError``;
-    bytes that hash elsewhere raise :class:`DumpTransferError`."""
+def decode_dump(text, sha256: str | None) -> tuple[bytes, str]:
+    """Dump bytes from strict base64 *text* and the SHA-256 they hash
+    to, checked against *sha256* (``None`` skips the check).
+
+    Bad base64 raises ``ValueError``; bytes that hash elsewhere raise
+    :class:`DumpTransferError`.  The digest returned is the one
+    computed here, never the claim, so a receiver files the bytes
+    under it without hashing them again.
+    """
     data = base64.b64decode(text, validate=True)
     digest = hashlib.sha256(data).hexdigest()
     if sha256 is not None and digest != sha256:
@@ -176,7 +183,7 @@ def decode_dump(text, sha256: str | None) -> bytes:
             f"payload hashes to {digest[:12]}… but claims to be "
             f"{str(sha256)[:12]}…"
         )
-    return data
+    return data, digest
 
 
 class AcceptLoop:

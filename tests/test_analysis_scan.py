@@ -8,6 +8,10 @@ randomized windows and the empty / all-zero / single-byte /
 partial-trailing-window edges.
 """
 
+import math
+import mmap
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,11 +35,18 @@ from repro.analysis.scan import (
 )
 from repro.attack.carving import (
     DumpCartographer,
+    byte_stats,
     printable_fraction,
     shannon_entropy,
 )
 from repro.attack.extraction import ScrapedDump
 from repro.attack.identify import ModelSignature, SignatureDatabase
+from repro.service.analysis import (
+    CARVE_PRESETS,
+    AnalysisConfig,
+    analyze_dump,
+    mine_database,
+)
 from repro.utils.hexdump import HexDump
 
 
@@ -179,6 +190,127 @@ class TestClassificationEquivalence:
         assert DumpCartographer().map_dump(dump) == reference_map_dump(
             bytes(dump)
         )
+
+
+class _TinyBlockCore(ScanCore):
+    """A core whose blocks and histogram batches are tiny, so short
+    inputs cross many block and batch boundaries."""
+
+    BLOCK_BYTES = 1024
+    HISTOGRAM_SCRATCH = 6 * 1024
+
+
+def _dump_of_length(seed: int, length: int) -> bytes:
+    """Every region kind, tiled and cut to *length* bytes."""
+    body = _composite_dump(seed)
+    return (body * (length // len(body) + 1))[:length]
+
+
+def _one_shot_stats(data: bytes) -> tuple[float, float, int]:
+    """Entropy from one whole-buffer ``bincount``, printable fraction
+    and non-zero count from the per-byte references."""
+    n = len(data)
+    if n == 0:
+        return 0.0, 1.0, 0
+    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+    nonzero = counts[counts > 0].astype(np.float64)
+    entropy = math.log2(n) - float((nonzero * np.log2(nonzero)).sum()) / n
+    return (
+        entropy,
+        reference_printable_fraction(data),
+        reference_nonzero_bytes(data),
+    )
+
+
+class TestBlockedScan:
+    """Block and histogram-batch boundaries never show in a result."""
+
+    BLOCK = _TinyBlockCore.BLOCK_BYTES
+
+    @pytest.mark.parametrize("window", [16, 17, 100, 1024, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_map_dump_matches_reference_across_blocks(
+        self, window, blocks, offset
+    ):
+        dump = _dump_of_length(window + blocks, blocks * self.BLOCK + offset)
+        tiny = DumpCartographer(window=window, core=_TinyBlockCore())
+        expected = reference_map_dump(dump, window=window)
+        assert tiny.map_dump(dump) == expected
+        assert DumpCartographer(window=window).map_dump(dump) == expected
+
+    @pytest.mark.parametrize("window", [16, 100, 4096])
+    def test_empty_and_sub_window_inputs(self, window):
+        tiny = DumpCartographer(window=window, core=_TinyBlockCore())
+        for dump in (b"", b"\x00", b"\x41" * (window - 1),
+                     _dump_of_length(3, window - 1)):
+            assert tiny.map_dump(dump) == reference_map_dump(
+                dump, window=window
+            )
+
+    def test_every_buffer_type(self, tmp_path):
+        dump = _dump_of_length(17, 5 * self.BLOCK + 1)
+        path = tmp_path / "dump.bin"
+        path.write_bytes(dump)
+        expected = reference_map_dump(dump, window=64)
+        tiny = DumpCartographer(window=64, core=_TinyBlockCore())
+        with path.open("rb") as file, mmap.mmap(
+            file.fileno(), 0, access=mmap.ACCESS_READ
+        ) as mapped:
+            for buffer in (dump, bytearray(dump), memoryview(dump), mapped):
+                assert tiny.map_dump(buffer) == expected, type(buffer)
+                assert _TinyBlockCore().byte_stats(buffer) == byte_stats(dump)
+
+    def test_custom_thresholds_across_blocks(self):
+        dump = _dump_of_length(29, 7 * self.BLOCK + 3)
+        for kwargs in (
+            {"text_threshold": 0.5, "random_entropy": 5.0,
+             "quantized_max_alphabet": 16},
+            {"text_threshold": 0.99, "random_entropy": 2.0,
+             "quantized_max_alphabet": 200},
+        ):
+            tiny = DumpCartographer(window=64, core=_TinyBlockCore(), **kwargs)
+            assert tiny.map_dump(dump) == reference_map_dump(
+                dump, window=64, **kwargs
+            )
+
+    @pytest.mark.parametrize("length", [0, 1, BLOCK - 1, BLOCK, 9 * BLOCK + 7])
+    def test_block_accumulated_stats_equal_one_shot_bit_for_bit(self, length):
+        dump = _dump_of_length(length % 7, length)
+        stats = _TinyBlockCore().byte_stats(dump)
+        assert (
+            stats.entropy, stats.printable_fraction, stats.nonzero
+        ) == _one_shot_stats(dump)
+
+    def test_analyze_dump_stats_equal_one_shot_over_many_blocks(self):
+        dump = _dump_of_length(5, 3 * ScanCore.BLOCK_BYTES + 11)
+        database = mine_database(("resnet50_pt",), 32)
+        analysis = analyze_dump(memoryview(dump), AnalysisConfig(database))
+        entropy, printable, nonzero = _one_shot_stats(dump)
+        assert analysis.entropy == round(entropy, 6)
+        assert analysis.printable_fraction == round(printable, 6)
+        assert analysis.residue_nbytes == nonzero
+
+    def test_analysis_scratch_is_bounded_by_blocks_not_the_dump(self):
+        # One bincount over a whole 16 MiB dump would take 128 MiB of
+        # intp scratch; blocked scans stay a few MiB for every preset.
+        # Quantized bytes send every window through the histogram,
+        # entropy, alphabet and low-magnitude steps, the scan's widest
+        # scratch path, and hold no signature anchors, so the
+        # automaton's Python-level walk stays off tracemalloc's clock.
+        dump = np.random.default_rng(3).integers(
+            -9, 10, 16 << 20, dtype=np.int8
+        ).tobytes()
+        database = mine_database(("resnet50_pt",), 32)
+        for name, preset in sorted(CARVE_PRESETS.items()):
+            config = AnalysisConfig(database, carve=preset)
+            tracemalloc.start()
+            try:
+                analyze_dump(dump, config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 << 20, (name, peak)
 
 
 class TestRegionAtBisect:

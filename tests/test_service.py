@@ -266,7 +266,9 @@ class TestAnalyzeDump:
 
 
 class TestAnalysisReport:
-    def _analysis(self, digest: str, model: str | None = None) -> DumpAnalysis:
+    def _analysis(
+        self, digest: str, model: str | None = None, preset: str = "default"
+    ) -> DumpAnalysis:
         return DumpAnalysis(
             sha256=digest,
             nbytes=8,
@@ -278,8 +280,43 @@ class TestAnalysisReport:
             identified_model=model,
             identification_score=0.5 if model else 0.0,
             matched_tokens=1 if model else 0,
-            carve_preset="default",
+            carve_preset=preset,
         )
+
+    def test_one_dump_under_two_presets_in_either_order(self):
+        fine = self._analysis("a" * 64, preset="fine")
+        coarse = self._analysis("a" * 64, preset="coarse")
+        coarse = DumpAnalysis.from_payload(
+            {**coarse.to_payload(), "region_count": 7}
+        )
+        forward, backward = AnalysisReport(), AnalysisReport()
+        forward.add(fine)
+        forward.add(coarse)
+        backward.add(coarse)
+        backward.add(fine)
+        assert forward.to_json() == backward.to_json()
+        assert len(forward) == 2
+        assert [row.carve_preset for row in forward.rows()] == [
+            "coarse", "fine",
+        ]
+
+    @pytest.mark.parametrize(
+        ("preset", "digest"),
+        [
+            ("default",
+             "c6ece522eb37dbad51921a99f3bb678440019b2ea3ed619e37d4ecaa1fe1d366"),
+            ("fine",
+             "88535cbe76b7d6e6601ad7daeaaee25ca5596afd650aadbfdb897ee5f5e56d6f"),
+        ],
+    )
+    def test_single_preset_report_bytes_unchanged(self, preset, digest):
+        # The sha256 of the bytes a digest-keyed report wrote for these
+        # rows: keying on (digest, preset) leaves them as they were.
+        report = AnalysisReport()
+        for sha, model in (("c" * 64, "resnet50_pt"), ("a" * 64, None),
+                           ("b" * 64, "squeezenet_pt"), ("a" * 64, None)):
+            report.add(self._analysis(sha, model, preset))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     def test_order_independent_and_deduplicated(self):
         rows = [self._analysis("b" * 64), self._analysis("a" * 64)]
@@ -299,6 +336,17 @@ class TestAnalysisReport:
         assert "c" * 16 in text
         assert "resnet50_pt" in text
         assert "1 dump(s)" in text
+
+    def test_render_shows_each_preset_of_a_dump(self):
+        report = AnalysisReport()
+        for preset in ("fine", "coarse"):
+            report.add(self._analysis("c" * 64, preset=preset))
+        report.add(self._analysis("d" * 64))
+        lines = report.render().splitlines()
+        assert [line.split()[:2] for line in lines[1:4]] == [
+            ["c" * 16, "coarse"], ["c" * 16, "fine"], ["d" * 16, "default"],
+        ]
+        assert lines[-1] == "2 dump(s) in 3 row(s)"
 
 
 def _run(coro):

@@ -112,7 +112,9 @@ class TestDumpFields:
     def test_fields_round_trip_through_a_strict_decode(self):
         fields = wire.dump_fields(DUMP, "data")
         assert fields["sha256"] == hashlib.sha256(DUMP).hexdigest()
-        assert wire.decode_dump(fields["data"], fields["sha256"]) == DUMP
+        assert wire.decode_dump(fields["data"], fields["sha256"]) == (
+            DUMP, fields["sha256"]
+        )
 
     def test_malformed_base64_is_a_value_error(self):
         with pytest.raises(ValueError):
@@ -124,7 +126,9 @@ class TestDumpFields:
         text = wire.encode_dump(b"residue")
         with pytest.raises(DumpTransferError):
             wire.decode_dump(text, hashlib.sha256(b"other").hexdigest())
-        assert wire.decode_dump(text, None) == b"residue"
+        assert wire.decode_dump(text, None) == (
+            b"residue", hashlib.sha256(b"residue").hexdigest()
+        )
 
 
 # ---------------------------------------------------------------------------

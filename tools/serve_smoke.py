@@ -8,14 +8,20 @@ port, driven over a real localhost socket by two concurrent clients
 plus a streaming subscriber:
 
 1. client A uploads a dump, re-uploads it (the spool must answer
-   ``deduplicated``), and submits it for analysis;
+   ``deduplicated``), and submits it for analysis under the default
+   and the ``fine`` carve presets;
 2. client B uploads two large dumps back-to-back so the second one
    *must* trip the default per-tenant byte quota, then heals by
    waiting out the daemon's ``retry_after`` hint and submits both;
 3. a subscriber collects streamed deltas; the daemon is then SIGTERMed
    and must drain cleanly — every accepted job's delta arrives before
    the terminal ``drained`` event, the process exits 0, and the
-   ``-o`` report it writes covers exactly the unique dumps analyzed.
+   ``-o`` report it writes holds one row per dump and carve preset
+   analyzed: four, two of them client A's dump under both presets.
+
+Just before the SIGTERM the lane prints the daemon's peak resident set
+(``VmHWM`` from ``/proc/<pid>/status``), so the log tracks daemon
+memory from run to run; it is a log line, not a check.
 
 Exit status: 0 = all of the above held, 1 = any check failed, with the
 daemon's output replayed to stderr for triage.
@@ -69,11 +75,16 @@ async def _client_a(host: str, port: int, checks: dict) -> list[int]:
         assert again.get("ok"), again
         if again["deduplicated"]:
             checks["dedup_hits"] += 1
-        submitted = await client.request(
-            "submit", tenant="smoke-a", sha256=first["sha256"]
-        )
-        assert submitted.get("ok"), submitted
-        return [submitted["job_id"]]
+        checks["a_digest"] = first["sha256"]
+        job_ids = []
+        for carve in ("default", "fine"):
+            submitted = await client.request(
+                "submit", tenant="smoke-a", sha256=first["sha256"],
+                carve=carve,
+            )
+            assert submitted.get("ok"), submitted
+            job_ids.append(submitted["job_id"])
+        return job_ids
 
 
 async def _client_b(host: str, port: int, checks: dict) -> list[int]:
@@ -107,6 +118,18 @@ async def _subscribe(host: str, port: int, events: list) -> None:
             events.append(event)
 
 
+def _peak_rss(pid: int) -> str:
+    """The ``VmHWM`` line of *pid*'s ``/proc`` status, where there is one."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return "unavailable (no /proc)"
+    for line in status.splitlines():
+        if line.startswith("VmHWM:"):
+            return line.split(":", 1)[1].strip()
+    return "unavailable (no VmHWM)"
+
+
 async def _scenario(host: str, port: int, daemon: subprocess.Popen) -> dict:
     checks = {"quota_rejections": 0, "dedup_hits": 0}
     events: list = []
@@ -118,6 +141,7 @@ async def _scenario(host: str, port: int, daemon: subprocess.Popen) -> dict:
         ),
         timeout=SMOKE_TIMEOUT,
     )
+    print(f"daemon peak RSS before drain: {_peak_rss(daemon.pid)}")
     daemon.send_signal(signal.SIGTERM)
     await asyncio.wait_for(subscriber, timeout=SMOKE_TIMEOUT)
     checks["accepted_jobs"] = sorted(
@@ -190,9 +214,18 @@ def main() -> int:
             failures.append("subscriber never saw the terminal drained event")
         try:
             report = json.loads(report_path.read_text())
-            if report["total"] != 3:
+            if report["total"] != 4:
                 failures.append(
-                    f"report covers {report['total']} dump(s), expected 3"
+                    f"report holds {report['total']} row(s), expected 4"
+                )
+            presets = sorted(
+                row["carve_preset"] for row in report["dumps"]
+                if row["sha256"] == checks["a_digest"]
+            )
+            if presets != ["default", "fine"]:
+                failures.append(
+                    f"client A's dump has report rows for {presets}, "
+                    f"expected both presets it was submitted under"
                 )
         except (OSError, json.JSONDecodeError, KeyError) as error:
             failures.append(f"report unreadable: {error!r}")
@@ -206,8 +239,8 @@ def main() -> int:
             f"serve-smoke: PASS in {time.monotonic() - started:.1f}s — "
             f"{len(checks['accepted_jobs'])} job(s) analyzed across 2 "
             f"clients, {checks['quota_rejections']} quota rejection(s) "
-            f"healed, duplicate upload deduplicated, SIGTERM drained "
-            f"cleanly"
+            f"healed, duplicate upload deduplicated, one dump reported "
+            f"under two presets, SIGTERM drained cleanly"
         )
         return 0
 
